@@ -39,7 +39,8 @@ func main() {
 
 	// Compare under the Spark cluster profile: the reported time divides
 	// measured parallel work by the cluster DOP and adds the UDF-boundary
-	// overheads the optimizations remove (DESIGN.md §4).
+	// overheads the optimizations remove (docs/ARCHITECTURE.md, "Measured
+	// vs modeled time").
 	run := func(label string, options ...raven.Option) *raven.Result {
 		s := raven.NewSession(append(options, raven.WithProfile(raven.ProfileSpark))...)
 		for _, t := range ds.Tables {

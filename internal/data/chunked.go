@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -31,23 +32,22 @@ type Chunk struct {
 // column) as an in-memory table. Only the requested blocks are decoded —
 // the unit of IO the chunk reader accounts per morsel.
 func (ch *Chunk) Decode(name string, names []string) (*Table, error) {
-	want := func(n string) bool { return true }
-	if names != nil {
-		set := make(map[string]bool, len(names))
-		for _, n := range names {
-			set[n] = true
-		}
-		want = func(n string) bool { return set[n] }
-	}
+	return ch.decodeRows(name, names, 0, ch.Rows)
+}
+
+// decodeRows is Decode restricted to rows [lo, hi) of the chunk: each
+// requested block decodes only those rows (DecodeColumnRange), so a
+// morsel reading part of a chunk pays for the rows it reads.
+func (ch *Chunk) decodeRows(name string, names []string, lo, hi int) (*Table, error) {
 	t, err := NewTable(name)
 	if err != nil {
 		return nil, err
 	}
 	for _, blk := range ch.Blocks {
-		if !want(blk.Meta.Name) {
+		if names != nil && !slices.Contains(names, blk.Meta.Name) {
 			continue
 		}
-		c, err := DecodeColumn(blk.Meta, blk.Data)
+		c, err := DecodeColumnRange(blk.Meta, blk.Data, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -143,39 +143,18 @@ func (ct *ChunkedTable) rowOffsets() []int {
 	return ct.starts
 }
 
-// ChunkCache memoizes the most recently decoded chunk for one sequential
-// consumer of DecodeRange, so a scan walking forward decodes each chunk
-// once. It is not safe for concurrent use: parallel consumers each pass
-// nil or hold their own cache, and a cache must always be used with the
-// same column set.
-type ChunkCache struct {
-	idx int
-	t   *Table
-}
-
-// NewChunkCache returns an empty cache.
-func NewChunkCache() *ChunkCache { return &ChunkCache{idx: -1} }
-
-func (ct *ChunkedTable) decodeChunk(i int, cols []string, cache *ChunkCache) (*Table, error) {
-	if cache != nil && cache.idx == i && cache.t != nil {
-		return cache.t, nil
-	}
-	dec, err := ct.chunks[i].Decode(ct.Name, cols)
-	if err != nil {
-		return nil, err
-	}
-	if cache != nil {
-		cache.idx, cache.t = i, dec
-	}
-	return dec, nil
-}
+// ChunkCache is the type of DecodeRange's unused cache argument. Range
+// decoding costs the same with or without a cache, so none is kept; the
+// argument stays for callers written against the cached signature.
+type ChunkCache struct{}
 
 // DecodeRange materializes rows [lo, hi) of the named columns (nil = all).
-// A range inside a single chunk returns a zero-copy slice of the decoded
-// chunk — the common case when batch size and chunk size are of the same
-// order; a range spanning chunks copies the overlap of each. Decoded
-// string columns keep the chunked table's shared *Dictionary pointers, so
-// every dict fast path downstream survives out-of-core storage.
+// Each chunk the range overlaps decodes only its overlap, so a range
+// smaller than a chunk costs its own rows, not the chunk's; a range
+// spanning chunks appends the overlaps in order. Decoded string columns
+// keep the chunked table's shared *Dictionary pointers, so every dict
+// fast path downstream survives out-of-core storage. cache is unused and
+// may be nil.
 func (ct *ChunkedTable) DecodeRange(lo, hi int, cols []string, cache *ChunkCache) (*Table, error) {
 	if lo < 0 || hi > ct.rows || lo > hi {
 		return nil, fmt.Errorf("data: decode range [%d,%d) of %q with %d rows", lo, hi, ct.Name, ct.rows)
@@ -188,20 +167,13 @@ func (ct *ChunkedTable) DecodeRange(lo, hi int, cols []string, cache *ChunkCache
 	ci := sort.SearchInts(starts, lo+1) - 1
 	var out *Table
 	for pos := lo; pos < hi; ci++ {
-		dec, err := ct.decodeChunk(ci, cols, cache)
+		clo, chi := starts[ci], starts[ci+1]
+		part, err := ct.chunks[ci].decodeRows(ct.Name, cols, pos-clo, min(hi, chi)-clo)
 		if err != nil {
 			return nil, err
 		}
-		clo, chi := starts[ci], starts[ci+1]
-		part := dec.Slice(pos-clo, min(hi, chi)-clo)
 		if out == nil {
-			if hi <= chi {
-				return part, nil
-			}
-			// Clone before appending: part is a view of the decoded chunk
-			// (possibly cached), and appending through a view could write
-			// into the chunk's backing arrays.
-			out = part.Clone()
+			out = part
 		} else if err := out.AppendFrom(part); err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -61,22 +62,30 @@ func assertTableBits(t *testing.T, want, got *Table) {
 		}
 		// Representation (raw vs dict) must match for non-empty results;
 		// zero-row tables are schema-only and carry no dictionaries.
-		if gc.Type != wc.Type || (want.NumRows() > 0 && gc.IsDict() != wc.IsDict()) {
-			t.Fatalf("column %q: type/repr %v/%v, want %v/%v",
-				wc.Name, gc.Type, gc.IsDict(), wc.Type, wc.IsDict())
-		}
-		for i := 0; i < wc.Len(); i++ {
-			switch wc.Type {
-			case Float64:
-				if math.Float64bits(wc.F64[i]) != math.Float64bits(gc.F64[i]) {
-					t.Fatalf("column %q row %d: float bits %x != %x",
-						wc.Name, i, gc.F64[i], wc.F64[i])
-				}
-			default:
-				if wc.AsString(i) != gc.AsString(i) {
-					t.Fatalf("column %q row %d: %s != %s",
-						wc.Name, i, gc.AsString(i), wc.AsString(i))
-				}
+		assertColumnBits(t, wc, gc, want.NumRows() > 0)
+	}
+}
+
+// assertColumnBits compares two columns bit-for-bit: same type and
+// length, identical float bits, equal values otherwise, and (when
+// checkRepr is set) the same raw vs dict representation.
+func assertColumnBits(t *testing.T, want, got *Column, checkRepr bool) {
+	t.Helper()
+	if got.Type != want.Type || got.Len() != want.Len() || (checkRepr && got.IsDict() != want.IsDict()) {
+		t.Fatalf("column %q: type/len/repr %v/%d/%v, want %v/%d/%v",
+			want.Name, got.Type, got.Len(), got.IsDict(), want.Type, want.Len(), want.IsDict())
+	}
+	for i := 0; i < want.Len(); i++ {
+		switch want.Type {
+		case Float64:
+			if math.Float64bits(want.F64[i]) != math.Float64bits(got.F64[i]) {
+				t.Fatalf("column %q row %d: float bits %x != %x",
+					want.Name, i, got.F64[i], want.F64[i])
+			}
+		default:
+			if want.AsString(i) != got.AsString(i) {
+				t.Fatalf("column %q row %d: %s != %s",
+					want.Name, i, got.AsString(i), want.AsString(i))
 			}
 		}
 	}
@@ -86,9 +95,16 @@ func TestDecodeRangeMatchesSlice(t *testing.T) {
 	const n = 1000
 	src := chunkFixture(t, n)
 	ct := chunkOf(t, src, 97) // deliberately misaligned with every batch size
+	// Ranges inside one chunk (starting mid-byte of the packed payloads,
+	// ending in a chunk's last rows), across one boundary and across many.
 	ranges := [][2]int{
 		{0, 0}, {0, 1}, {0, 97}, {0, 98}, {5, 90}, {96, 98},
 		{97, 194}, {100, 500}, {950, n}, {0, n},
+		{1, 9}, {3, 11}, {90, 97}, {93, 96}, {98, 103}, {193, 200}, {999, n},
+	}
+	proj, err := src.Project([]string{"id", "s", "d"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, r := range ranges {
 		got, err := ct.DecodeRange(r[0], r[1], nil, nil)
@@ -96,6 +112,40 @@ func TestDecodeRangeMatchesSlice(t *testing.T) {
 			t.Fatalf("DecodeRange(%d,%d): %v", r[0], r[1], err)
 		}
 		assertTableBits(t, src.Slice(r[0], r[1]), got)
+		if r[0] == r[1] {
+			continue // an empty range returns the whole schema
+		}
+		got, err = ct.DecodeRange(r[0], r[1], []string{"d", "id", "s"}, nil)
+		if err != nil {
+			t.Fatalf("DecodeRange(%d,%d) of a column subset: %v", r[0], r[1], err)
+		}
+		assertTableBits(t, proj.Slice(r[0], r[1]), got)
+	}
+	// Nulls from the chunked CSV loader: validity bitmaps read at each
+	// chunk's own rows, with nulls inside and outside the range.
+	var sb strings.Builder
+	sb.WriteString("id,v,ok\n")
+	for i := 0; i < 60; i++ {
+		if i%7 == 2 {
+			sb.WriteString(",,\n")
+			continue
+		}
+		fmt.Fprintf(&sb, "%d,%d.5,%t\n", i, i, i%2 == 0)
+	}
+	nct, err := ReadCSVChunked("n", strings.NewReader(sb.String()), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := nct.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{0, 60}, {2, 3}, {3, 9}, {1, 17}, {15, 33}, {40, 60}} {
+		got, err := nct.DecodeRange(r[0], r[1], nil, nil)
+		if err != nil {
+			t.Fatalf("DecodeRange(%d,%d) with nulls: %v", r[0], r[1], err)
+		}
+		assertTableBits(t, whole.Slice(r[0], r[1]), got)
 	}
 	// Dictionary columns decode over the source table's own dictionary —
 	// pointer identity, not just equal values — so dict fast paths survive.
@@ -123,7 +173,9 @@ func TestDecodeRangeCachedForwardWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewChunkCache()
+	// The cache argument is accepted and ignored: a forward walk decodes
+	// each batch's own rows.
+	cache := &ChunkCache{}
 	for lo := 0; lo < n; lo += 128 {
 		hi := min(lo+128, n)
 		got, err := ct.DecodeRange(lo, hi, cols, cache)

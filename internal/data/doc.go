@@ -28,12 +28,15 @@
 // disk — so decoded columns share the original dictionary by pointer
 // identity and stay on every dict fast path. ChunkedTable/ChunkedBuilder/
 // ChunkReader store tables as per-chunk encoded blocks; DecodeRange
-// decodes an arbitrary row range (zero-copy when it falls inside one
-// chunk), and ChunkPartitioned wraps a ChunkedTable as a chunk-backed
-// Partition so catalog scans decode on demand instead of holding tables
-// resident. ReadCSVChunked streams a CSV file straight into chunks
-// without materializing the table; empty numeric/bool fields become
-// nulls (decoded as zero values).
+// decodes an arbitrary row range, and only that range:
+// DecodeColumnRange unpacks the bit-packed ints and dict codes of rows
+// [lo, hi) a word at a time from their bit offset and reads floats,
+// bools, validity bits and strings at their own rows, so a range smaller
+// than a chunk costs its own rows. ChunkPartitioned wraps a ChunkedTable
+// as a chunk-backed Partition so catalog scans decode on demand instead
+// of holding tables resident. ReadCSVChunked streams a CSV file straight
+// into chunks without materializing the table; empty numeric/bool fields
+// become nulls (decoded as zero values).
 //
 // Decoding is exact: integers, bools, dict codes and float bit patterns
 // round-trip unchanged, which is what lets chunk-backed scans satisfy

@@ -141,67 +141,103 @@ func EncodeColumn(c *Column) (BlockMeta, []byte, error) {
 // decode to codes over the same shared *Dictionary). Rows the validity
 // bitmap marks absent decode to the type's zero value.
 func DecodeColumn(m BlockMeta, raw []byte) (*Column, error) {
+	return DecodeColumnRange(m, raw, 0, m.Rows)
+}
+
+// DecodeColumnRange decodes only rows [lo, hi) of a block, producing the
+// same column as slicing DecodeColumn's result: packed ints and dict codes
+// are unpacked from their bit offset, floats read at their byte offset,
+// bools and the validity bitmap at bit lo+i, and raw strings skip lo
+// length prefixes. Errors name the absolute row within the block.
+func DecodeColumnRange(m BlockMeta, raw []byte, lo, hi int) (*Column, error) {
+	if lo < 0 || hi > m.Rows || lo > hi {
+		return nil, fmt.Errorf("data: decode range [%d,%d) of block %q with %d rows", lo, hi, m.Name, m.Rows)
+	}
+	if m.Valid != nil && len(m.Valid) < (m.Rows+7)/8 {
+		return nil, fmt.Errorf("data: validity bitmap of block %q: %d bytes for %d rows", m.Name, len(m.Valid), m.Rows)
+	}
+	n := hi - lo
 	c := &Column{Name: m.Name, Type: m.Type}
 	switch m.Enc {
 	case EncIntFOR:
-		c.I64 = make([]int64, m.Rows)
-		if m.Rows == 0 {
-			return c, nil
+		if err := checkPacked(m, raw); err != nil {
+			return nil, err
 		}
-		deltas := unpackUints(raw, m.Rows, m.Width)
-		for i, d := range deltas {
-			c.I64[i] = int64(uint64(m.Min) + d)
-		}
+		c.I64 = make([]int64, n)
+		unpackRange(c.I64, raw, lo, m.Width, uint64(m.Min))
 	case EncDictCodes:
 		if m.Dict == nil {
 			return nil, fmt.Errorf("data: dict-coded block %q lacks its dictionary", m.Name)
 		}
+		if m.Width > 31 {
+			return nil, fmt.Errorf("data: dict-coded block %q: code width %d exceeds 31", m.Name, m.Width)
+		}
+		if err := checkPacked(m, raw); err != nil {
+			return nil, err
+		}
 		c.Dict = m.Dict
-		c.Codes = make([]int32, m.Rows)
-		codes := unpackUints(raw, m.Rows, m.Width)
-		limit := uint64(m.Dict.Len())
-		for i, code := range codes {
+		c.Codes = make([]int32, n)
+		unpackRange(c.Codes, raw, lo, m.Width, 0)
+		limit := int32(m.Dict.Len())
+		for i, code := range c.Codes {
 			if code >= limit {
-				return nil, fmt.Errorf("data: block %q row %d: code %d outside dictionary of %d", m.Name, i, code, limit)
+				return nil, fmt.Errorf("data: block %q row %d: code %d outside dictionary of %d", m.Name, lo+i, code, limit)
 			}
-			c.Codes[i] = int32(code)
 		}
 	case EncBits:
-		c.B = UnpackBits(raw, m.Rows)
+		if len(raw) < (m.Rows+7)/8 {
+			return nil, fmt.Errorf("data: bool block %q: %d bytes for %d rows", m.Name, len(raw), m.Rows)
+		}
+		c.B = make([]bool, n)
+		for i := range c.B {
+			c.B[i] = BitAt(raw, lo+i)
+		}
 	case EncRawFloat:
 		if len(raw) < 8*m.Rows {
 			return nil, fmt.Errorf("data: float block %q: %d bytes for %d rows", m.Name, len(raw), m.Rows)
 		}
-		c.F64 = make([]float64, m.Rows)
+		c.F64 = make([]float64, n)
+		raw = raw[8*lo:]
 		for i := range c.F64 {
 			c.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 	case EncRawString:
-		c.Str = make([]string, 0, m.Rows)
-		for i := 0; i < m.Rows; i++ {
-			n, used := binary.Uvarint(raw)
-			if used <= 0 || uint64(len(raw)-used) < n {
+		c.Str = make([]string, 0, n)
+		for i := 0; i < hi; i++ {
+			sz, used := binary.Uvarint(raw)
+			if used <= 0 || uint64(len(raw)-used) < sz {
 				return nil, fmt.Errorf("data: string block %q truncated at row %d", m.Name, i)
 			}
 			raw = raw[used:]
-			c.Str = append(c.Str, string(raw[:n]))
-			raw = raw[n:]
+			if i >= lo {
+				c.Str = append(c.Str, string(raw[:sz]))
+			}
+			raw = raw[sz:]
 		}
 	default:
 		return nil, fmt.Errorf("data: unknown block encoding %d for %q", m.Enc, m.Name)
 	}
 	if m.Valid != nil {
-		zeroInvalid(c, m.Valid)
+		zeroInvalid(c, m.Valid, lo)
 	}
 	return c, nil
 }
 
+// checkPacked verifies a bit-packed payload holds every row of the block.
+func checkPacked(m BlockMeta, raw []byte) error {
+	if need := (m.Rows*int(m.Width) + 7) / 8; len(raw) < need {
+		return fmt.Errorf("data: packed block %q: %d bytes for %d rows of width %d", m.Name, len(raw), m.Rows, m.Width)
+	}
+	return nil
+}
+
 // zeroInvalid forces rows the validity bitmap marks absent to the type's
 // zero value, so a null survives the round trip deterministically no
-// matter what the encoder packed in its slot.
-func zeroInvalid(c *Column, valid []byte) {
+// matter what the encoder packed in its slot. Row i of c is row lo+i of
+// the block the bitmap describes.
+func zeroInvalid(c *Column, valid []byte, lo int) {
 	for i := 0; i < c.Len(); i++ {
-		if BitAt(valid, i) {
+		if BitAt(valid, lo+i) {
 			continue
 		}
 		switch c.Type {
@@ -249,24 +285,43 @@ func packUints(vals []uint64, width uint8) []byte {
 	return out
 }
 
-// unpackUints reverses packUints for n values.
-func unpackUints(raw []byte, n int, width uint8) []uint64 {
-	out := make([]uint64, n)
+// unpackRange unpacks the len(dst) width-bit values starting at value lo
+// of a packUints stream, adding base to each. Values are read a word at a
+// time: 8 bytes at the value's byte offset, shifted and masked. A bit loop
+// covers the stream's last 7 bytes and widths above 56, where one word
+// cannot hold a value at every bit phase. The payload must hold every
+// value (checkPacked).
+func unpackRange[T int32 | int64](dst []T, raw []byte, lo int, width uint8, base uint64) {
 	if width == 0 {
-		return out
-	}
-	bit := 0
-	for i := range out {
-		var v uint64
-		for b := 0; b < int(width); b++ {
-			if raw[bit>>3]&(1<<(bit&7)) != 0 {
-				v |= 1 << b
-			}
-			bit++
+		for i := range dst {
+			dst[i] = T(base)
 		}
-		out[i] = v
+		return
 	}
-	return out
+	w := int(width)
+	mask := uint64(1)<<width - 1 // width 64: the shift yields 0, mask all ones
+	bit := lo * w
+	i := 0
+	if width <= 56 {
+		for ; i < len(dst); i++ {
+			b := bit >> 3
+			if b+8 > len(raw) {
+				break
+			}
+			dst[i] = T(base + binary.LittleEndian.Uint64(raw[b:])>>(bit&7)&mask)
+			bit += w
+		}
+	}
+	for ; i < len(dst); i++ {
+		var v uint64
+		for k := 0; k < w; k++ {
+			if BitAt(raw, bit+k) {
+				v |= 1 << k
+			}
+		}
+		dst[i] = T(base + v)
+		bit += w
+	}
 }
 
 // PackBits packs a bool slice one bit per entry, LSB-first — the shared
@@ -277,15 +332,6 @@ func PackBits(bits []bool) []byte {
 		if b {
 			out[i>>3] |= 1 << (i & 7)
 		}
-	}
-	return out
-}
-
-// UnpackBits reverses PackBits for n entries.
-func UnpackBits(raw []byte, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = BitAt(raw, i)
 	}
 	return out
 }

@@ -35,7 +35,29 @@ func roundTrip(t *testing.T, c *Column) (*Column, BlockMeta, []byte) {
 		t.Fatal(err)
 	}
 	assertColumnsIdentical(t, c, out)
+	assertRangesMatch(t, m, raw, out)
 	return out, m, raw
+}
+
+// assertRangesMatch decodes every row range [lo, hi) of the block through
+// DecodeColumnRange and checks each bit for bit against the same Slice of
+// the full decode. Exhaustive ranges start at every bit phase and end
+// inside the payload's last 7 bytes, where the word-at-a-time unpacker
+// falls back to its bit loop.
+func assertRangesMatch(t *testing.T, m BlockMeta, raw []byte, full *Column) {
+	t.Helper()
+	for lo := 0; lo <= m.Rows; lo++ {
+		for hi := lo; hi <= m.Rows; hi++ {
+			got, err := DecodeColumnRange(m, raw, lo, hi)
+			if err != nil {
+				t.Fatalf("DecodeColumnRange(%d,%d) of %q: %v", lo, hi, m.Name, err)
+			}
+			assertColumnBits(t, full.Slice(lo, hi), got, true)
+		}
+	}
+	if _, err := DecodeColumnRange(m, raw, 0, m.Rows+1); err == nil {
+		t.Fatalf("block %q: range past its rows accepted", m.Name)
+	}
 }
 
 func TestEncodeIntFOR(t *testing.T) {
@@ -55,12 +77,68 @@ func TestEncodeIntFOR(t *testing.T) {
 	// Full-range extremes force 64-bit deltas through two's-complement
 	// wraparound (MaxInt64 - MinInt64 overflows signed arithmetic).
 	roundTrip(t, NewInt("x", []int64{math.MinInt64, math.MaxInt64, 0, -1, math.MinInt64}))
+	// Every width class of the range unpacker: 0, byte-aligned and odd
+	// widths, the word path's 56-bit ceiling and the bit loop above it.
+	// 41 rows put the tail of every payload inside its last 7 bytes.
+	for _, w := range []uint8{0, 1, 7, 8, 13, 31, 32, 56, 57, 63, 64} {
+		mask := uint64(1)<<w - 1
+		base := int64(-12345)
+		if w >= 63 {
+			base = math.MinInt64
+		}
+		vals := make([]int64, 41)
+		x := uint64(0x9E3779B97F4A7C15)
+		for i := range vals {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			d := x & mask
+			switch i {
+			case 3:
+				d = 0
+			case 17:
+				d = mask
+			}
+			vals[i] = int64(uint64(base) + d)
+		}
+		_, m, _ := roundTrip(t, NewInt("w", vals))
+		if m.Width != w || m.Min != base {
+			t.Fatalf("width %d fixture encoded at width %d base %d", w, m.Width, m.Min)
+		}
+	}
 }
 
 func TestEncodeFloatBoolString(t *testing.T) {
 	roundTrip(t, NewFloat("f", []float64{1.5, math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0}))
 	roundTrip(t, NewBool("b", []bool{true, false, true, true, false, false, true}))
 	roundTrip(t, NewString("s", []string{"x", "", "日本語", strings.Repeat("y", 300), "x"}))
+	// A string block cut inside row 3 fails on every range that reaches
+	// row 3, and reports that row; ranges ending before it still decode.
+	m, raw, err := EncodeColumn(NewString("s", []string{"a", "bb", "ccc", "dddd", "e"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = raw[:len(raw)-5]
+	if _, err := DecodeColumnRange(m, raw, 0, 3); err != nil {
+		t.Fatalf("rows before the cut: %v", err)
+	}
+	for _, r := range [][2]int{{3, 4}, {2, 5}, {0, 5}} {
+		if _, err := DecodeColumnRange(m, raw, r[0], r[1]); err == nil || !strings.Contains(err.Error(), "truncated at row 3") {
+			t.Fatalf("range %v of truncated block: err = %v", r, err)
+		}
+	}
+	// A short float payload and an unknown encoding fail on any range.
+	m, raw, err = EncodeColumn(NewFloat("f", []float64{1, 2, 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeColumnRange(m, raw[:20], 0, 1); err == nil {
+		t.Fatal("short float payload accepted")
+	}
+	m.Enc = 99
+	if _, err := DecodeColumnRange(m, raw, 1, 2); err == nil {
+		t.Fatal("unknown encoding accepted")
+	}
 }
 
 func TestEncodeDictKeepsPointerIdentity(t *testing.T) {
@@ -74,6 +152,29 @@ func TestEncodeDictKeepsPointerIdentity(t *testing.T) {
 	}
 	if out.Dict != c.Dict {
 		t.Fatal("decode did not preserve the dictionary pointer")
+	}
+	// A code outside the dictionary fails every range that covers its
+	// row, naming the row within the block; other ranges still decode.
+	codes := make([]string, 20)
+	for i := range codes {
+		codes[i] = []string{"a", "b", "c"}[i%3]
+	}
+	m, raw, err := EncodeColumn(DictEncode(NewString("g", codes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Width != 2 {
+		t.Fatalf("fixture width = %d, want 2", m.Width)
+	}
+	const bad = 13
+	raw[bad*2/8] |= 3 << (bad * 2 % 8) // code 3 in a 3-entry dictionary
+	if _, err := DecodeColumnRange(m, raw, 0, bad); err != nil {
+		t.Fatalf("range before the bad code: %v", err)
+	}
+	for _, r := range [][2]int{{bad, bad + 1}, {10, 16}, {0, 20}} {
+		if _, err := DecodeColumnRange(m, raw, r[0], r[1]); err == nil || !strings.Contains(err.Error(), "row 13:") {
+			t.Fatalf("range %v over the bad code: err = %v", r, err)
+		}
 	}
 }
 
@@ -96,6 +197,56 @@ func TestDecodeValidityBitmap(t *testing.T) {
 			t.Fatalf("row %d = %d, want %d", i, out.I64[i], w)
 		}
 	}
+	// Ranges read the bitmap at their own rows: every encoding, with nulls
+	// inside, before and after each range.
+	valid := make([]bool, 23)
+	for i := range valid {
+		valid[i] = i%4 != 1 && i != 10
+	}
+	ints := make([]int64, 23)
+	floats := make([]float64, 23)
+	bools := make([]bool, 23)
+	strs := make([]string, 23)
+	for i := range ints {
+		ints[i] = int64(i*i - 40)
+		floats[i] = float64(i) * 0.3
+		bools[i] = i%3 != 2
+		strs[i] = strings.Repeat("z", i%5)
+	}
+	for _, c := range []*Column{
+		NewInt("i", ints), NewFloat("f", floats), NewBool("b", bools),
+		NewString("s", strs), DictEncode(NewString("d", strs)),
+	} {
+		m, raw, err := EncodeColumn(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Valid = PackBits(valid)
+		full, err := DecodeColumn(m, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ok := range valid {
+			if !ok && !decodedZero(full, i) {
+				t.Fatalf("column %q null row %d decoded as %q", c.Name, i, full.AsString(i))
+			}
+		}
+		assertRangesMatch(t, m, raw, full)
+	}
+}
+
+// decodedZero reports whether row i of a decoded column holds the zero
+// value a null decodes to (dict rows keep their code).
+func decodedZero(c *Column, i int) bool {
+	switch c.Type {
+	case Int64:
+		return c.I64[i] == 0
+	case Float64:
+		return c.F64[i] == 0
+	case Bool:
+		return !c.B[i]
+	}
+	return c.IsDict() || c.Str[i] == ""
 }
 
 func TestChunkedBuilderRoundTrip(t *testing.T) {

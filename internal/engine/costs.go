@@ -10,10 +10,11 @@ import (
 )
 
 // This file centralizes every modeled (as opposed to measured) cost
-// constant, per the substitution policy in DESIGN.md §4. All computation
-// in this repository runs for real on the host CPU; the constants below
-// model only the boundary costs of the paper's production setups that a
-// single-process Go binary does not pay natively:
+// constant, per the substitution policy in docs/ARCHITECTURE.md
+// ("Measured vs modeled time"). All computation in this repository runs
+// for real on the host CPU; the constants below model only the boundary
+// costs of the paper's production setups that a single-process Go binary
+// does not pay natively:
 //
 //   - the Spark Python vectorized-UDF bridge (process hop + Arrow
 //     serialization) per batch,
@@ -168,8 +169,9 @@ var SparkML = Profile{
 
 // MaxMaterializedColumns mirrors PostgreSQL's 1600-column-per-table limit
 // that forced the paper to skip Expedia/Flights for MADlib. The generated
-// Expedia/Flights widths are scaled down ~10x from the paper's (DESIGN.md),
-// so the limit is scaled by the same factor to preserve the behaviour.
+// Expedia/Flights widths are scaled down ~10x from the paper's
+// (docs/ARCHITECTURE.md), so the limit is scaled by the same factor to
+// preserve the behaviour.
 const MaxMaterializedColumns = 160
 
 // Spark models the paper's HDInsight cluster: 4 workers × 8 cores, Python

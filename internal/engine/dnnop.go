@@ -26,7 +26,7 @@ type dnnShared struct {
 // (the MLtoDNN physical operator). Computation always happens on the host;
 // when the device is a simulated GPU the operator records the modeled
 // device time and the executor charges that instead of the measured host
-// compute (DESIGN.md §4).
+// compute (docs/ARCHITECTURE.md, "Measured vs modeled time").
 type DNNOp struct {
 	Child     Operator
 	Pipeline  *model.Pipeline

@@ -13,8 +13,8 @@ import (
 
 // Result is the outcome of executing a plan: the result table, the real
 // single-threaded wall time, and the profile-modeled reported time per
-// DESIGN.md §4 (measured parallel work divided by DOP, plus boundary
-// overheads).
+// docs/ARCHITECTURE.md, "Measured vs modeled time" (measured parallel
+// work divided by DOP, plus boundary overheads).
 type Result struct {
 	Table *data.Table
 	// Wall is the real end-to-end single-thread execution time.

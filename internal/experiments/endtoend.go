@@ -221,6 +221,6 @@ func Table1(cfg Config) (*Report, error) {
 			fmt.Sprintf("%d (%d/%d)", ds.NumInputs(), len(ds.Spec.Numeric), len(ds.Spec.Categorical)),
 			fmt.Sprintf("%d", w))
 	}
-	rep.Note("paper widths 3965/6475 for Expedia/Flights are scaled to fit one host (DESIGN.md)")
+	rep.Note("paper widths 3965/6475 for Expedia/Flights are scaled to fit one host (docs/ARCHITECTURE.md)")
 	return rep, nil
 }

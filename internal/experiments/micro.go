@@ -292,7 +292,7 @@ func Fig12(cfg Config, shapes [][2]int) (*Report, error) {
 			ms(noopt.Seconds), ms(cpu.Seconds), ms(gpu.Seconds),
 			f2(noopt.Seconds/gpu.Seconds)+"x")
 	}
-	rep.Note("GPU time is device-modeled from real op shapes (DESIGN.md §4); CPU paths are measured")
+	rep.Note("GPU time is device-modeled from real op shapes (docs/ARCHITECTURE.md); CPU paths are measured")
 	return rep, nil
 }
 

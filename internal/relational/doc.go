@@ -17,8 +17,9 @@
 // and sort runs are merged in that same order with first-occurrence
 // tie-breaks. Chunk-backed partitions preserve the contract by cutting
 // batches at BatchSize boundaries, never chunk boundaries — chunks are
-// only the decode granularity underneath (serial scans keep a one-chunk
-// cursor cache; parallel morsels decode their row range statelessly).
+// only the storage unit underneath. Serial batches and parallel morsels
+// both range-decode exactly their rows from each chunk they overlap, so
+// neither keeps decode state and a chunk read in batches is decoded once.
 //
 // # Pipeline breakers and spilling
 //

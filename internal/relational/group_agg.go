@@ -801,12 +801,12 @@ func (m *MergeGroupAggregate) Next() (*data.Table, error) {
 			}
 			encs[i] = enc
 		}
+		rows, err := partialRowsOf(b, len(m.Aggs))
+		if err != nil {
+			return nil, err
+		}
 		for r := 0; r < b.NumRows(); r++ {
-			p, err := decodePartialRow(b, r, len(m.Aggs))
-			if err != nil {
-				return nil, err
-			}
-			if err := acc.fold(keyCols, encs, r, p); err != nil {
+			if err := acc.fold(keyCols, encs, r, rows.row(r)); err != nil {
 				return nil, err
 			}
 		}

@@ -184,12 +184,12 @@ func (f *seqFold) foldTable(t *data.Table, keyNames []string, nAggs int) error {
 	if seqCol == nil {
 		return fmt.Errorf("relational: group spill slab lacks %s", groupSeqCol)
 	}
+	rows, err := partialRowsOf(t, nAggs)
+	if err != nil {
+		return err
+	}
 	for r := 0; r < t.NumRows(); r++ {
-		p, err := decodePartialRow(t, r, nAggs)
-		if err != nil {
-			return err
-		}
-		if err := f.fold(keyCols, encs, r, p, seqCol.F64[r]); err != nil {
+		if err := f.fold(keyCols, encs, r, rows.row(r), seqCol.F64[r]); err != nil {
 			return err
 		}
 	}

@@ -120,9 +120,6 @@ type Scan struct {
 	part    int
 	offset  int
 	skipped int
-	// cache holds the serial cursor's most recently decoded chunk when the
-	// current partition is chunk-backed; reset at each partition start.
-	cache *data.ChunkCache
 }
 
 // NewScan builds a scan over all partitions with the default batch size.
@@ -198,58 +195,62 @@ func (s *Scan) Next() (*data.Table, error) {
 		if hi > n {
 			hi = n
 		}
-		var batch *data.Table
-		if p.Chunked != nil {
-			// Chunk-backed partition: decode the batch's row range on
-			// demand. Batches stay cut at BatchSize boundaries — never at
-			// chunk boundaries — so the batch stream is identical to the
-			// in-memory scan's and order-sensitive folds downstream see the
-			// same boundaries (the byte-identity contract). The cursor
-			// cache keeps the forward walk at one decode per chunk.
-			if s.offset == 0 {
-				s.cache = data.NewChunkCache()
-			}
-			dec, err := p.Chunked.DecodeRange(s.offset, hi, s.Cols, s.cache)
-			if err != nil {
-				return nil, err
-			}
-			if s.Cols != nil {
-				// DecodeRange returns columns in schema order; restore the
-				// requested order the in-memory Project path produces.
-				if dec, err = dec.Project(s.Cols); err != nil {
-					return nil, err
-				}
-			}
-			batch = dec
-		} else {
-			src := p.Table
-			if s.Cols != nil {
-				var err error
-				src, err = src.Project(s.Cols)
-				if err != nil {
-					return nil, err
-				}
-			}
-			batch = src.Slice(s.offset, hi)
-		}
+		out, err := s.readRange(p, s.offset, hi, &s.stats)
 		s.offset = hi
-		// Qualify output names.
-		out, err := data.NewTable(s.Table.Name)
+		return out, err
+	}
+}
+
+// readRange produces rows [lo, hi) of partition p as one qualified batch,
+// accumulating statistics into st; Next and MorselBatch share it. A
+// chunk-backed partition decodes only those rows of the chunks it
+// overlaps, so the serial cursor and concurrent morsels need no decode
+// state. Batches stay cut at BatchSize boundaries — never at chunk
+// boundaries — so the batch stream is identical to the in-memory scan's
+// and order-sensitive folds downstream see the same boundaries (the
+// byte-identity contract).
+func (s *Scan) readRange(p *data.Partition, lo, hi int, st *OpStats) (*data.Table, error) {
+	var batch *data.Table
+	if p.Chunked != nil {
+		dec, err := p.Chunked.DecodeRange(lo, hi, s.Cols, nil)
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range batch.Cols {
-			qc := *c
-			qc.Name = s.qualify(c.Name)
-			if err := out.AddColumn(&qc); err != nil {
+		if s.Cols != nil {
+			// DecodeRange returns columns in schema order; restore the
+			// requested order the in-memory Project path produces.
+			if dec, err = dec.Project(s.Cols); err != nil {
 				return nil, err
 			}
-			s.stats.BytesRead += qc.ByteSize()
 		}
-		s.stats.Rows += int64(out.NumRows())
-		s.stats.Batches++
-		return out, nil
+		batch = dec
+	} else {
+		src := p.Table
+		if s.Cols != nil {
+			var err error
+			src, err = src.Project(s.Cols)
+			if err != nil {
+				return nil, err
+			}
+		}
+		batch = src.Slice(lo, hi)
 	}
+	// Qualify output names.
+	out, err := data.NewTable(s.Table.Name)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range batch.Cols {
+		qc := *c
+		qc.Name = s.qualify(c.Name)
+		if err := out.AddColumn(&qc); err != nil {
+			return nil, err
+		}
+		st.BytesRead += qc.ByteSize()
+	}
+	st.Rows += int64(out.NumRows())
+	st.Batches++
+	return out, nil
 }
 
 // Close is a no-op.

@@ -119,53 +119,12 @@ func (s *Scan) Morsels(size int) []Morsel {
 
 // MorselBatch produces the batch for one morsel, accumulating statistics
 // into st (each worker owns a private OpStats, absorbed after the join).
+// Workers call it concurrently: it touches no shared scan state, and a
+// chunk-backed morsel decodes only its own rows. Morsel boundaries are
+// the serial batch boundaries, so the batches are the serial ones.
 func (s *Scan) MorselBatch(m Morsel, st *OpStats) (*data.Table, error) {
 	defer startTimer(st)()
-	p := s.Table.Parts[m.Part]
-	var batch *data.Table
-	if p.Chunked != nil {
-		// Chunk-backed partition: decode the morsel's row range without
-		// touching shared scan state — workers call MorselBatch
-		// concurrently, so the decode is stateless (no cursor cache; a
-		// boundary chunk shared by two morsels is decoded by each). Morsel
-		// boundaries are the same fixed row ranges as the serial batch
-		// boundaries, which keeps parallel results byte-identical.
-		dec, err := p.Chunked.DecodeRange(m.Lo, m.Hi, s.Cols, nil)
-		if err != nil {
-			return nil, err
-		}
-		if s.Cols != nil {
-			if dec, err = dec.Project(s.Cols); err != nil {
-				return nil, err
-			}
-		}
-		batch = dec
-	} else {
-		src := p.Table
-		if s.Cols != nil {
-			var err error
-			src, err = src.Project(s.Cols)
-			if err != nil {
-				return nil, err
-			}
-		}
-		batch = src.Slice(m.Lo, m.Hi)
-	}
-	out, err := data.NewTable(s.Table.Name)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range batch.Cols {
-		qc := *c
-		qc.Name = s.qualify(c.Name)
-		if err := out.AddColumn(&qc); err != nil {
-			return nil, err
-		}
-		st.BytesRead += qc.ByteSize()
-	}
-	st.Rows += int64(out.NumRows())
-	st.Batches++
-	return out, nil
+	return s.readRange(s.Table.Parts[m.Part], m.Lo, m.Hi, st)
 }
 
 // batchSource is the leaf of a worker chain: it yields exactly the batch

@@ -137,33 +137,42 @@ func (p *aggPartial) encode() (*data.Table, error) {
 	return data.NewTable("partial", cols...)
 }
 
-// decodePartialRow reads row r of an encoded partial batch back into an
-// accumulator with n aggregates.
-func decodePartialRow(b *data.Table, r, n int) (*aggPartial, error) {
-	p := newAggPartial(n)
-	read := func(name string) (float64, error) {
+// partialRows reads the rows of one encoded partial batch. The
+// accumulator columns are looked up once per batch (partialRowsOf), not
+// once per row.
+type partialRows struct {
+	n    int
+	cols [][]float64 // partialColumns(n) order
+}
+
+// partialRowsOf resolves the accumulator columns of a partial batch with
+// n aggregates. An empty batch has no rows to read and needs none.
+func partialRowsOf(b *data.Table, n int) (partialRows, error) {
+	pr := partialRows{n: n}
+	if b.NumRows() == 0 {
+		return pr, nil
+	}
+	for _, name := range partialColumns(n) {
 		c := b.Col(name)
 		if c == nil {
-			return 0, fmt.Errorf("relational: partial aggregate batch lacks column %q", name)
+			return pr, fmt.Errorf("relational: partial aggregate batch lacks column %q", name)
 		}
-		return c.F64[r], nil
+		pr.cols = append(pr.cols, c.F64)
 	}
-	var err error
-	if p.count, err = read("__count"); err != nil {
-		return nil, err
-	}
+	return pr, nil
+}
+
+// row decodes row r into a fresh accumulator, which the caller may keep.
+func (pr partialRows) row(r int) *aggPartial {
+	n := pr.n
+	buf := make([]float64, 3*n)
+	p := &aggPartial{count: pr.cols[0][r], sums: buf[:n:n], mins: buf[n : 2*n : 2*n], maxs: buf[2*n:]}
 	for i := 0; i < n; i++ {
-		if p.sums[i], err = read(fmt.Sprintf("__sum%d", i)); err != nil {
-			return nil, err
-		}
-		if p.mins[i], err = read(fmt.Sprintf("__min%d", i)); err != nil {
-			return nil, err
-		}
-		if p.maxs[i], err = read(fmt.Sprintf("__max%d", i)); err != nil {
-			return nil, err
-		}
+		p.sums[i] = pr.cols[1+3*i][r]
+		p.mins[i] = pr.cols[2+3*i][r]
+		p.maxs[i] = pr.cols[3+3*i][r]
 	}
-	return p, nil
+	return p
 }
 
 // PartialAggregate computes per-batch aggregate partials inside an
@@ -271,12 +280,12 @@ func (m *MergeAggregate) Next() (*data.Table, error) {
 		if b == nil {
 			break
 		}
+		rows, err := partialRowsOf(b, len(m.Aggs))
+		if err != nil {
+			return nil, err
+		}
 		for r := 0; r < b.NumRows(); r++ {
-			p, err := decodePartialRow(b, r, len(m.Aggs))
-			if err != nil {
-				return nil, err
-			}
-			acc.fold(p)
+			acc.fold(rows.row(r))
 		}
 	}
 	out, err := acc.finalize(m.Aggs)

@@ -120,7 +120,11 @@ func TestAdmitContextWakesOnRelease(t *testing.T) {
 func TestJobDrainWaitsForRunningTasks(t *testing.T) {
 	s := New(2)
 	defer s.Close()
-	j := s.NewJob(2)
+	// Cap 1: while the first task runs, every later Submit waits in the
+	// job's queue even though the second worker is idle — the queued work
+	// Drain must drop. (A cap of 2 would hand the next task straight to
+	// the idle worker, so it would be running, not queued.)
+	j := s.NewJob(1)
 	gate := make(chan struct{})
 	var started, ran atomic.Int64
 	j.Submit(func() {

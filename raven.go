@@ -160,8 +160,9 @@ var (
 )
 
 // Engine profiles (re-exports). All computation runs on the host; the
-// profile converts measured operator work into reported times (DESIGN.md
-// §4 documents the cost model).
+// profile converts measured operator work into reported times (the
+// "Measured vs modeled time" section of docs/ARCHITECTURE.md documents the
+// cost model).
 var (
 	// ProfileLocal is an overhead-free single-threaded profile.
 	ProfileLocal = engine.Local
@@ -469,7 +470,8 @@ type Result struct {
 	Table *Table
 	// Wall is the measured single-thread execution time.
 	Wall time.Duration
-	// Reported is the profile's cost-model time (see DESIGN.md §4).
+	// Reported is the profile's cost-model time (see docs/ARCHITECTURE.md,
+	// "Measured vs modeled time").
 	Reported time.Duration
 	// Report describes the optimizations applied.
 	Report *OptimizerReport
