@@ -13,10 +13,17 @@ SHELL := /bin/bash
 # hot-path micro-benches at 20 iterations.
 BENCH_OUT := /tmp/raven-bench.out
 
-.PHONY: test stress stress-spill docs-check bench-baseline benchcmp
+.PHONY: test stress stress-spill docs-check bench-baseline benchcmp loc
 
 test:
 	go build ./... && go test ./...
+
+# loc prints the root module's Go line counts, non-test and test
+# separately; perfbench/ is its own module and is left out. CHANGES.md
+# records the before/after figure for changes that aim to shrink code.
+loc:
+	@printf 'non-test %s\n' $$(find . -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
+	@printf 'test     %s\n' $$(find . -path ./perfbench -prune -o -name '*_test.go' -print | xargs cat | wc -l)
 
 # docs-check enforces the documentation gates without a staticcheck
 # install: every package carries exactly one package comment (CI also

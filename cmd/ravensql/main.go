@@ -81,9 +81,7 @@ func main() {
 	if *parallelism != 1 {
 		options = append(options, raven.WithParallelism(*parallelism))
 	}
-	if *memBudget > 0 {
-		options = append(options, raven.WithGlobalMemoryBudget(*memBudget, *spillDir))
-	}
+	options = append(options, raven.WithGlobalMemoryBudget(*memBudget, *spillDir))
 	s := raven.NewSession(options...)
 	for _, path := range csvs {
 		if _, err := s.RegisterTableCSV(path); err != nil {

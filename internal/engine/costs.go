@@ -116,22 +116,17 @@ type Profile struct {
 	// AdaptiveGPU tells the adaptive chooser whether a GPU target is
 	// available for a mid-query switch to MLtoDNN-GPU.
 	AdaptiveGPU bool
-	// MemoryBudget, when > 0, caps the bytes each pipeline breaker (join
-	// build, grouped-aggregation merge, sort) may keep resident; state
-	// beyond the cap spills to compressed temp files and is merged back
-	// externally, byte-identical to the in-memory execution at any DOP.
-	// 0 (the default for every baked-in profile) disables spilling.
-	MemoryBudget int64
-	// SpillDir is the directory spill files are created in; empty means
-	// the OS temp dir. Files are removed when the query finishes,
-	// including on error, cancellation and panic paths.
-	SpillDir string
-	// GlobalBudget, when non-nil, replaces the per-query MemoryBudget:
-	// every concurrent query's resident breaker bytes draw from this one
-	// engine-wide accountant, each query keeping an admission-aware floor
-	// (total divided by the scheduler's admission cap) so no query
-	// livelocks under pressure from its neighbors. Takes precedence over
-	// MemoryBudget when both are set.
+	// GlobalBudget, when non-nil, caps the bytes the pipeline breakers
+	// (join build, grouped-aggregation merge, sort) of every concurrent
+	// query keep resident: they draw from this one engine-wide
+	// accountant, each query keeping an admission-aware floor (total
+	// divided by the scheduler's admission cap) so no query livelocks
+	// under pressure from its neighbors. State beyond a denied
+	// reservation spills to compressed temp files in the budget's
+	// directory and is merged back externally, byte-identical to the
+	// in-memory execution at any DOP; the files are removed when the
+	// query finishes, including on error, cancellation and panic paths.
+	// nil (the default for every baked-in profile) disables spilling.
 	GlobalBudget *relational.GlobalBudget
 }
 

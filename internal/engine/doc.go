@@ -13,10 +13,9 @@
 //
 // Execution stamps cross-cutting state onto the lowered tree in one
 // walk each: the query context (cancellation), the adaptive runtime
-// stats, and the memory budget — either a per-query MemBudget
-// (Profile.MemoryBudget) or a per-query slice of the engine-global
-// GlobalBudget (Profile.GlobalBudget, which takes precedence); the
-// budget's Cleanup is deferred for the whole query so spill files never
-// survive error, cancel or panic paths. Executed results report wall
+// stats, and the memory budget — a per-query slice of the engine-global
+// GlobalBudget (Profile.GlobalBudget); the budget's Cleanup is deferred
+// for the whole query so reservations and spill files never survive
+// error, cancel or panic paths. Executed results report wall
 // time, spill volume and adaptive observations back on the Result.
 package engine

@@ -17,7 +17,8 @@ import (
 // work divided by DOP, plus boundary overheads).
 type Result struct {
 	Table *data.Table
-	// Wall is the real end-to-end single-thread execution time.
+	// Wall is the measured elapsed time of the operator drain at the
+	// plan's DOP, admission wait excluded.
 	Wall time.Duration
 	// Reported is the cost-model time under the profile.
 	Reported time.Duration
@@ -39,8 +40,9 @@ type Result struct {
 	// observations and strategy switches) when Profile.Adaptive is set;
 	// nil otherwise.
 	Adaptive *opt.RuntimeStats
-	// SpilledBytes is the total bytes the pipeline breakers spilled to
-	// temp files under Profile.MemoryBudget (0 without a budget).
+	// SpilledBytes is the total bytes this query's pipeline breakers
+	// spilled to temp files under Profile.GlobalBudget (0 without a
+	// budget).
 	SpilledBytes int64
 }
 
@@ -63,16 +65,10 @@ func RunContext(ctx context.Context, g *ir.Graph, cat *Catalog, prof Profile) (*
 		return nil, err
 	}
 	relational.SetContext(ctx, root)
-	var mb *relational.MemBudget
-	switch {
-	case prof.GlobalBudget != nil:
-		// Engine-global accounting: this query's breaker reservations draw
-		// from the shared budget, with a floor derived from the admission
-		// cap so concurrent queries cannot starve it entirely.
-		mb = prof.GlobalBudget.QueryBudgetFor(prof.scheduler().AdmitCap())
-	case prof.MemoryBudget > 0:
-		mb = relational.NewMemBudget(prof.MemoryBudget, prof.SpillDir)
-	}
+	// This query's breaker reservations draw from the shared budget, with
+	// a floor derived from the admission cap so concurrent queries cannot
+	// starve it entirely.
+	mb := prof.GlobalBudget.QueryBudgetFor(prof.scheduler().AdmitCap())
 	if mb != nil {
 		// Cleanup runs on every exit — error, cancellation and panic
 		// included — so spill temp files cannot outlive the query and the
@@ -177,14 +173,14 @@ func reportedTime(root Operator, prof Profile, res *Result) time.Duration {
 					if gpu, ok := op.(*DNNOp); ok && gpu.Device.Kind == device.SimGPU {
 						wall -= float64(gpu.ComputeNs) / div
 					}
-					if phj, ok := op.(*relational.ParallelHashJoin); ok {
-						gpuWalk(phj.ChainChild(), div)
-						if ch := phj.Children(); len(ch) == 2 {
+					if hj, ok := op.(*relational.HashJoin); ok {
+						gpuWalk(hj.Left, div)
+						if hj.Right != nil {
 							bdiv := 1.0
-							if _, ok := ch[1].(*relational.Exchange); ok {
+							if _, ok := hj.Right.(*relational.Exchange); ok {
 								bdiv = execDOP
 							}
-							gpuWalk(ch[1], bdiv)
+							gpuWalk(hj.Right, bdiv)
 						}
 						return
 					}

@@ -135,7 +135,7 @@ func BenchmarkExternalSortSpill(b *testing.B) {
 		}
 		memT += time.Since(t0)
 		// 64 KiB against a multi-MB input: dozens of runs, external merge.
-		mb := NewMemBudget(64<<10, dir)
+		mb := oneQueryBudget(64<<10, dir)
 		root := mkSort()
 		SetBudget(mb, root)
 		t1 := time.Now()

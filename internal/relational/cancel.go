@@ -88,8 +88,6 @@ func SetContext(ctx context.Context, root Operator) {
 		op.Ctx = ctx
 	case *HashJoin:
 		op.Ctx = ctx
-	case *ParallelHashJoin:
-		op.Ctx = ctx
 	case *Aggregate:
 		op.Ctx = ctx
 	case *GroupAggregate:

@@ -215,7 +215,7 @@ func TestChunkedScanSpillDifferential(t *testing.T) {
 			}
 			run := func(t *testing.T, root Operator) {
 				dir := t.TempDir()
-				mb := NewMemBudget(spillBudget, dir)
+				mb := oneQueryBudget(spillBudget, dir)
 				SetBudget(mb, root)
 				got, err := Drain(root)
 				if err != nil {

@@ -25,12 +25,15 @@
 //
 // The three pipeline breakers (hash-join build, grouped-aggregation
 // merge, sort) materialize state and therefore carry the memory-budget
-// hooks: a MemBudget — per-query fixed limit, or a Reservation against
-// the engine-global GlobalBudget — decides when each breaker spills.
+// hooks: each holds a Reservation on its query's MemBudget, a slice of
+// the engine-global GlobalBudget, and spills when a grow is denied. The
+// breakers of one query share its bytes. There is one HashJoin: inside
+// an exchange its probe side is the worker chain and its worker clones
+// share one build index.
 // Join builds spill their build rows (typed indexes stay resident, so
 // probe order is untouched); grouped aggregation grace-hash-partitions
 // spilled partial-aggregate state with fold sequence numbers so
-// re-folding reproduces the serial per-key fold; sorts write per-morsel
+// re-folding reproduces the serial per-key fold; sorts write sorted
 // runs to disk and k-way merge them externally with the serial
 // tie-break. Cleanup removes every spill file on success, error, cancel
 // and panic paths alike.

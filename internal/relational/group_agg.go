@@ -422,6 +422,42 @@ func (m *groupedMerge) result() (*data.Table, error) {
 	return m.finalize()
 }
 
+// emit is the grouped breakers' shared finish, run once the input is
+// folded: the group-merge fault site, the finalized result, the spill
+// statistics and observations, and — for zero groups — a typed empty
+// batch from op's static schema, so downstream operators (and the
+// terminal Drain) see the real key column types.
+func (m *groupedMerge) emit(op Operator, stats *OpStats, obs AdaptiveContext, estGroups float64) (*data.Table, error) {
+	if err := fault.Inject(fault.SiteGroupMerge); err != nil {
+		return nil, err
+	}
+	out, err := m.result()
+	if err != nil {
+		return nil, err
+	}
+	groups := 0
+	if out != nil {
+		groups = out.NumRows()
+	}
+	sb := m.spilledBytes()
+	stats.SpillBytes += sb
+	if obs != nil {
+		obs.ObserveCardinality("group_merge", estGroups, float64(groups))
+		if sb > 0 {
+			obs.ObserveCardinality("group_spill_bytes", 0, float64(sb))
+			obs.ObserveCardinality("group_spill_partitions", 0, float64(groupSpillPartitions))
+		}
+	}
+	if out == nil {
+		if out, err = emptyGrouped(op); err != nil || out == nil {
+			return nil, err
+		}
+	}
+	stats.Rows += int64(out.NumRows())
+	stats.Batches++
+	return out, nil
+}
+
 // spilledBytes reports the bytes this accumulator spilled (0 without a
 // budget trigger).
 func (m *groupedMerge) spilledBytes() int64 {
@@ -576,35 +612,7 @@ func (a *GroupAggregate) Next() (*data.Table, error) {
 			return nil, err
 		}
 	}
-	if err := fault.Inject(fault.SiteGroupMerge); err != nil {
-		return nil, err
-	}
-	out, err := acc.result()
-	if err != nil {
-		return nil, err
-	}
-	groups := 0
-	if out != nil {
-		groups = out.NumRows()
-	}
-	a.stats.SpillBytes += acc.spilledBytes()
-	if a.Observe != nil {
-		a.Observe.ObserveCardinality("group_merge", a.EstGroups, float64(groups))
-		if sb := acc.spilledBytes(); sb > 0 {
-			a.Observe.ObserveCardinality("group_spill_bytes", 0, float64(sb))
-			a.Observe.ObserveCardinality("group_spill_partitions", 0, float64(groupSpillPartitions))
-		}
-	}
-	if out == nil {
-		// Zero groups: emit a typed empty batch so downstream operators
-		// (and the terminal Drain) see the real key column types.
-		if out, err = emptyGrouped(a); err != nil || out == nil {
-			return nil, err
-		}
-	}
-	a.stats.Rows += int64(out.NumRows())
-	a.stats.Batches++
-	return out, nil
+	return acc.emit(a, &a.stats, a.Observe, a.EstGroups)
 }
 
 // Close closes the child.
@@ -716,18 +724,12 @@ func (a *PartialGroupAggregate) Stats() *OpStats { return &a.stats }
 func (a *PartialGroupAggregate) Children() []Operator { return []Operator{a.Child} }
 
 // CloneWorker implements ParallelOp: clones share the immutable specs and
-// own a private scratch (dense array, buffers). Worker clones (created
-// after the template's Open) inherit the resolved adaptive dense limit;
-// pre-Open clones (the chainify rebuild) keep the adaptive context so the
-// template resolves it once at Open.
+// own a private scratch (dense array, buffers). Worker clones are created
+// after the template's Open and inherit its resolved adaptive dense
+// limit, so the decision is made (and recorded) once.
 func (a *PartialGroupAggregate) CloneWorker(child Operator) (Operator, error) {
-	c := &PartialGroupAggregate{Child: child, Keys: a.Keys, Aggs: a.Aggs, DenseLimit: a.DenseLimit}
-	if a.resolved {
-		c.resolved, c.denseLimit = true, a.denseLimit
-	} else {
-		c.Observe, c.EstRows = a.Observe, a.EstRows
-	}
-	return c, nil
+	return &PartialGroupAggregate{Child: child, Keys: a.Keys, Aggs: a.Aggs, DenseLimit: a.DenseLimit,
+		Observe: a.Observe, EstRows: a.EstRows, resolved: a.resolved, denseLimit: a.denseLimit}, nil
 }
 
 // AbsorbWorker merges a worker clone's statistics.
@@ -811,33 +813,7 @@ func (m *MergeGroupAggregate) Next() (*data.Table, error) {
 			}
 		}
 	}
-	if err := fault.Inject(fault.SiteGroupMerge); err != nil {
-		return nil, err
-	}
-	out, err := acc.result()
-	if err != nil {
-		return nil, err
-	}
-	groups := 0
-	if out != nil {
-		groups = out.NumRows()
-	}
-	m.stats.SpillBytes += acc.spilledBytes()
-	if m.Observe != nil {
-		m.Observe.ObserveCardinality("group_merge", m.EstGroups, float64(groups))
-		if sb := acc.spilledBytes(); sb > 0 {
-			m.Observe.ObserveCardinality("group_spill_bytes", 0, float64(sb))
-			m.Observe.ObserveCardinality("group_spill_partitions", 0, float64(groupSpillPartitions))
-		}
-	}
-	if out == nil {
-		if out, err = emptyGrouped(m); err != nil || out == nil {
-			return nil, err
-		}
-	}
-	m.stats.Rows += int64(out.NumRows())
-	m.stats.Batches++
-	return out, nil
+	return acc.emit(m, &m.stats, m.Observe, m.EstGroups)
 }
 
 // emptyGrouped synthesizes a typed zero-row grouped result from the

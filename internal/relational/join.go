@@ -10,15 +10,14 @@ import (
 	"raven/internal/fault"
 )
 
-// This file extends morsel-driven parallelism across the hash-join
-// pipeline breaker. The build (right) side is drained once and indexed —
-// with a worker pool over contiguous row chunks when the build table is
-// large — into an immutable joinBuild; the probe (left) side stays inside
-// the exchange segment as a ParallelHashJoin chain operator whose worker
-// clones all share that build. Because the exchange re-emits batches in
-// morsel order and each probe batch expands to (left row order ×
-// ascending build row order), parallel join output is byte-identical to
-// the serial HashJoin's.
+// The hash join, serial and morsel-driven alike. The build (right) side is
+// drained once and indexed — with a worker pool over contiguous row chunks
+// when the build table is large — into an immutable joinBuild. Inside an
+// exchange segment the probe (left) side is the worker chain and every
+// worker clone of the HashJoin shares that build. Because the exchange
+// re-emits batches in morsel order and each probe batch expands to (left
+// row order × ascending build row order), parallel join output is
+// byte-identical to the serial join's.
 
 // joinBuild is the materialized build side of a hash join: the build rows
 // in stream order plus a typed key index. Exactly one index is populated,
@@ -286,8 +285,8 @@ func (bu *joinBuild) lookup(kc *data.Column) func(int) []int {
 
 // probeJoinBatch joins one probe batch against the build table, returning
 // nil when no row matches. Output rows follow probe row order, each
-// expanded by its matches in ascending build row order — exactly the
-// serial HashJoin's emission order.
+// expanded by its matches in ascending build row order — the same
+// emission order at any DOP.
 func probeJoinBatch(b *data.Table, leftKey string, bu *joinBuild) (*data.Table, error) {
 	kc := b.Col(leftKey)
 	if kc == nil {
@@ -326,93 +325,96 @@ func probeJoinBatch(b *data.Table, leftKey string, bu *joinBuild) (*data.Table, 
 	return out, nil
 }
 
-// ParallelHashJoin is the morsel-driven parallel inner equi-join: it
-// lives inside an exchange segment, probing its (per-worker) Child chain
-// against a build table shared by every worker clone. The template
-// instance owns the Build operator: its Open drains and indexes the build
-// side (itself rewritten for parallelism, and indexed by a chunked worker
-// pool); CloneWorker then hands each exchange worker a clone sharing the
-// immutable joinBuild. The morsel flow passes through Child only, which
-// ChainChild exposes to the exchange's segment walk.
-type ParallelHashJoin struct {
-	Child             Operator // probe (left) side, part of the exchange segment
-	Build             Operator // build (right) side; nil on worker clones
+// HashJoin is an inner equi-join. The right (build) side is drained into a
+// hash table at Open; the left (probe) side streams. Join keys may be
+// Int64, String or Float64 columns. Inside an exchange segment (see
+// chainify) Left is the worker chain: the template's Open drains and
+// indexes the build side (itself rewritten for parallelism, and indexed
+// by a DOP-bounded worker pool), then CloneWorker hands each exchange
+// worker a clone, with a nil Right, sharing the immutable joinBuild. The
+// morsel flow passes through Left only, which ChainChild exposes to the
+// exchange's segment walk.
+type HashJoin struct {
+	Left              Operator // probe side; the exchange chain inside a segment
+	Right             Operator // build side; nil on worker clones
 	LeftKey, RightKey string
-	// DOP bounds the workers used for parallel index construction.
+	// DOP bounds the workers used for the build index; 0 or 1 builds it
+	// serially.
 	DOP int
-	// Observe/EstBuildRows mirror HashJoin: the template reports the
-	// build side's true cardinality ("join_build") once it materializes.
+	// Observe, when set, receives the build side's true cardinality
+	// ("join_build") as soon as it materializes at Open — before any
+	// probe row flows, so every downstream operator can re-cost itself
+	// against it. EstBuildRows is the plan-time estimate.
 	Observe      AdaptiveContext
 	EstBuildRows float64
-	// Ctx, when set (see SetContext), is polled per build batch.
+	// Ctx, when set (see SetContext), is polled per build batch so a
+	// canceled query stops the build drain promptly.
 	Ctx context.Context
-	// Budget, when set (see SetBudget), spills the shared build rows once
-	// they exceed the per-query memory budget.
+	// Budget, when set (see SetBudget), spills the build rows once the
+	// query's memory budget denies them.
 	Budget *MemBudget
 
-	rightCols []string
+	rightCols []string // build columns, kept for clones (Right == nil)
 	stats     OpStats
 	build     *joinBuild // shared by all clones, immutable after the template's Open
 }
 
-// NewParallelHashJoin builds the probe-side chain operator over the given
-// build subplan (typically itself rewritten to contain an Exchange).
-func NewParallelHashJoin(child, build Operator, leftKey, rightKey string, dop int) *ParallelHashJoin {
-	return &ParallelHashJoin{
-		Child: child, Build: build,
-		LeftKey: leftKey, RightKey: rightKey,
-		DOP:       dop,
-		rightCols: build.Columns(),
-	}
+// Columns returns probe columns followed by build columns.
+func (j *HashJoin) Columns() []string {
+	return append(append([]string{}, j.Left.Columns()...), j.buildColumns()...)
 }
 
-// Columns returns probe columns followed by build columns.
-func (j *ParallelHashJoin) Columns() []string {
-	return append(append([]string{}, j.Child.Columns()...), j.rightCols...)
+func (j *HashJoin) buildColumns() []string {
+	if j.Right == nil {
+		return j.rightCols
+	}
+	return j.Right.Columns()
 }
 
 // ChainChild implements chainOp: the exchange segment continues through
 // the probe side; the build side is private to the operator.
-func (j *ParallelHashJoin) ChainChild() Operator { return j.Child }
+func (j *HashJoin) ChainChild() Operator { return j.Left }
 
-// Children returns the probe child and (on the template) the build side,
-// so statistics collection and boundary accounting see both subtrees.
-func (j *ParallelHashJoin) Children() []Operator {
-	if j.Build == nil {
-		return []Operator{j.Child}
+// Children returns the probe child and (except on worker clones) the
+// build side, so statistics collection and boundary accounting see both
+// subtrees.
+func (j *HashJoin) Children() []Operator {
+	if j.Right == nil {
+		return []Operator{j.Left}
 	}
-	return []Operator{j.Child, j.Build}
+	return []Operator{j.Left, j.Right}
 }
 
-// Open prepares the probe child; on the template (Build != nil) it also
-// drains the build side and constructs the shared index. The joinBuild
-// survives Close so worker clones created afterwards can share it. On a
-// build-side failure the already-opened probe chain is closed again, so
-// pooled resources it holds (worker ML sessions) are returned.
-func (j *ParallelHashJoin) Open() (err error) {
-	j.stats = OpStats{Name: fmt.Sprintf("ParallelHashJoin(%s=%s)", j.LeftKey, j.RightKey), Parallel: true}
+// Open opens the probe side; except on worker clones it also drains the
+// build side and indexes it by key. The joinBuild survives Close so worker
+// clones created afterwards can share it. Drain does not Close a tree
+// whose Open failed, so every error path here closes what this operator
+// already opened — otherwise a failed build would strand child resources
+// (e.g. checked-out ML sessions under either side).
+func (j *HashJoin) Open() (err error) {
+	j.stats = OpStats{Name: fmt.Sprintf("HashJoin(%s=%s)", j.LeftKey, j.RightKey), Parallel: true}
 	defer startTimer(&j.stats)()
-	if err := j.Child.Open(); err != nil {
+	if err := j.Left.Open(); err != nil {
 		return err
 	}
-	if j.Build == nil {
+	if j.Right == nil {
 		// Worker clone: probes the template's build.
 		return nil
 	}
 	defer func() {
 		if err != nil {
-			j.Child.Close()
+			j.Left.Close()
 		}
 	}()
-	if err := j.Build.Open(); err != nil {
+	if err := j.Right.Open(); err != nil {
 		return err
 	}
-	rows, err := drainBuild(j.Ctx, j.Build)
+	rows, err := drainBuild(j.Ctx, j.Right)
 	if err == nil {
 		err = fault.Inject(fault.SiteJoinBuild)
 	}
 	if err != nil {
-		j.Build.Close()
+		j.Right.Close()
 		return err
 	}
 	if j.Observe != nil {
@@ -429,7 +431,7 @@ func (j *ParallelHashJoin) Open() (err error) {
 		}
 	}
 	if err != nil {
-		j.Build.Close()
+		j.Right.Close()
 		return err
 	}
 	j.build = bu
@@ -438,27 +440,27 @@ func (j *ParallelHashJoin) Open() (err error) {
 
 // CloneWorker implements ParallelOp: the clone probes its own chain
 // against the shared immutable build.
-func (j *ParallelHashJoin) CloneWorker(child Operator) (Operator, error) {
+func (j *HashJoin) CloneWorker(child Operator) (Operator, error) {
 	if j.build == nil {
-		return nil, fmt.Errorf("relational: parallel hash join %s=%s cloned before its build side was drained",
+		return nil, fmt.Errorf("relational: hash join %s=%s cloned before its build side was drained",
 			j.LeftKey, j.RightKey)
 	}
-	return &ParallelHashJoin{
-		Child:   child,
+	return &HashJoin{
+		Left:    child,
 		LeftKey: j.LeftKey, RightKey: j.RightKey,
-		rightCols: j.rightCols,
+		rightCols: j.buildColumns(),
 		build:     j.build,
 	}, nil
 }
 
 // AbsorbWorker merges a worker clone's statistics into the template.
-func (j *ParallelHashJoin) AbsorbWorker(clone Operator) { j.stats.Absorb(clone.Stats()) }
+func (j *HashJoin) AbsorbWorker(clone Operator) { j.stats.Absorb(clone.Stats()) }
 
-// Next probes the next non-empty child batch against the build table.
-func (j *ParallelHashJoin) Next() (*data.Table, error) {
+// Next probes the next non-empty probe batch against the build table.
+func (j *HashJoin) Next() (*data.Table, error) {
 	defer startTimer(&j.stats)()
 	for {
-		b, err := j.Child.Next()
+		b, err := j.Left.Next()
 		if err != nil || b == nil {
 			return nil, err
 		}
@@ -475,14 +477,14 @@ func (j *ParallelHashJoin) Next() (*data.Table, error) {
 	}
 }
 
-// Close closes the probe chain and (on the template) the build side. The
-// built index is kept: clones of an exchange template are created after
-// the template is closed.
-func (j *ParallelHashJoin) Close() error {
-	err1 := j.Child.Close()
+// Close closes the probe side and (except on worker clones) the build
+// side. The built index is kept: clones of an exchange template are
+// created after the template is closed.
+func (j *HashJoin) Close() error {
+	err1 := j.Left.Close()
 	var err2 error
-	if j.Build != nil {
-		err2 = j.Build.Close()
+	if j.Right != nil {
+		err2 = j.Right.Close()
 	}
 	if err1 != nil {
 		return err1
@@ -491,4 +493,4 @@ func (j *ParallelHashJoin) Close() error {
 }
 
 // Stats returns the join statistics.
-func (j *ParallelHashJoin) Stats() *OpStats { return &j.stats }
+func (j *HashJoin) Stats() *OpStats { return &j.stats }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"raven/internal/data"
-	"raven/internal/fault"
 )
 
 // OpStats accumulates per-operator execution statistics. WallNs is
@@ -382,116 +381,6 @@ func (p *Project) Stats() *OpStats { return &p.stats }
 
 // Children returns the single child.
 func (p *Project) Children() []Operator { return []Operator{p.Child} }
-
-// HashJoin is an inner equi-join. The right (build) side is drained into a
-// hash table at Open; the left (probe) side streams. Join keys may be
-// Int64, String or Float64 columns. Under parallel execution (see
-// parallel_join.go) the rewrite converts it into a ParallelHashJoin
-// sharing the same build/probe helpers, so results stay byte-identical.
-type HashJoin struct {
-	Left, Right       Operator
-	LeftKey, RightKey string
-	// Observe, when set, receives the build side's true cardinality
-	// ("join_build") as soon as it materializes at Open — before any
-	// probe row flows, so every downstream operator can re-cost itself
-	// against it. EstBuildRows is the plan-time estimate.
-	Observe      AdaptiveContext
-	EstBuildRows float64
-	// Ctx, when set (see SetContext), is polled per build batch so a
-	// canceled query stops the build drain promptly.
-	Ctx context.Context
-	// Budget, when set (see SetBudget), spills the build rows once they
-	// exceed the per-query memory budget.
-	Budget *MemBudget
-
-	stats OpStats
-	build *joinBuild
-}
-
-// Columns returns left columns followed by right columns.
-func (j *HashJoin) Columns() []string {
-	return append(append([]string{}, j.Left.Columns()...), j.Right.Columns()...)
-}
-
-// Open drains the build side and indexes it by key. Drain does not Close
-// a tree whose Open failed, so every error path here closes what this
-// operator already opened — otherwise a failed build would strand child
-// resources (e.g. checked-out ML sessions under the build side).
-func (j *HashJoin) Open() error {
-	j.stats = OpStats{Name: fmt.Sprintf("HashJoin(%s=%s)", j.LeftKey, j.RightKey), Parallel: true}
-	defer startTimer(&j.stats)()
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	if err := j.Right.Open(); err != nil {
-		j.Left.Close()
-		return err
-	}
-	rows, err := drainBuild(j.Ctx, j.Right)
-	if err == nil {
-		err = fault.Inject(fault.SiteJoinBuild)
-	}
-	if err != nil {
-		j.Left.Close()
-		j.Right.Close()
-		return err
-	}
-	if j.Observe != nil {
-		j.Observe.ObserveCardinality("join_build", j.EstBuildRows, float64(rows.NumRows()))
-	}
-	j.build, err = newJoinBuild(rows, j.RightKey, 1)
-	if err == nil && j.Budget.Enabled() {
-		var spilled int64
-		if spilled, err = j.build.spillRows(j.Budget, rows); spilled > 0 {
-			j.stats.SpillBytes += spilled
-			if j.Observe != nil {
-				j.Observe.ObserveCardinality("join_spill_bytes", 0, float64(spilled))
-			}
-		}
-	}
-	if err != nil {
-		j.Left.Close()
-		j.Right.Close()
-	}
-	return err
-}
-
-// Next probes the next left batch against the build table.
-func (j *HashJoin) Next() (*data.Table, error) {
-	defer startTimer(&j.stats)()
-	for {
-		b, err := j.Left.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		out, err := probeJoinBatch(b, j.LeftKey, j.build)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			continue
-		}
-		j.stats.Rows += int64(out.NumRows())
-		j.stats.Batches++
-		return out, nil
-	}
-}
-
-// Close closes both children.
-func (j *HashJoin) Close() error {
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// Stats returns the join statistics.
-func (j *HashJoin) Stats() *OpStats { return &j.stats }
-
-// Children returns probe and build children.
-func (j *HashJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
 
 func emptyLike(cols []string) (*data.Table, error) {
 	t, err := data.NewTable("empty")

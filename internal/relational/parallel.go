@@ -47,7 +47,7 @@ type serialOnly interface {
 }
 
 // chainOp is implemented by chain operators whose morsel flow passes
-// through one designated child (the ParallelHashJoin's probe side); other
+// through one designated child (the HashJoin's probe side); other
 // children (the build side) are private to the operator and not part of
 // the exchange segment.
 type chainOp interface {
@@ -229,8 +229,8 @@ type Exchange struct {
 }
 
 // NewExchange wraps a parallelizable segment: a chain of single-child
-// ParallelOps (plus ParallelHashJoins, whose probe child continues the
-// chain) ending at a Scan, as validated and built by the rewrite's
+// ParallelOps (plus HashJoins, whose probe child continues the chain)
+// ending at a Scan, as validated and prepared by the rewrite's
 // segmentable + chainify pair.
 func NewExchange(segment Operator, dop, morselSize int) *Exchange {
 	return &Exchange{Template: segment, DOP: dop, MorselSize: morselSize}
@@ -573,8 +573,7 @@ func (e *Exchange) Close() error {
 // chain of single-child ParallelOps ending at a Scan, in which hash joins
 // may appear as long as their probe (left) side is itself segmentable —
 // the join build side is materialized at Open and may be any subplan.
-// Joins are carried across the breaker by converting them into
-// ParallelHashJoin chain operators (see chainify).
+// Joins are carried across the breaker as chain operators (see chainify).
 func segmentable(op Operator) bool {
 	switch o := op.(type) {
 	case *Scan:
@@ -596,49 +595,36 @@ func segmentable(op Operator) bool {
 	return segmentable(ch[0])
 }
 
-// chainify rewrites a segmentable segment for execution inside an
-// exchange: every HashJoin becomes a ParallelHashJoin probing on the
-// worker chain (its build side is independently parallelized), and the
-// operators above a converted join are rebuilt over the new child via
-// their worker-clone hook. Segments without joins are returned unchanged.
-func chainify(op Operator, c rwConf) (Operator, error) {
+// chainify prepares a segmentable segment, in place, for execution inside
+// an exchange: every HashJoin on the chain keeps probing on the worker
+// chain (its Left), while its build side is independently parallelized
+// and its index built at the rewrite's DOP.
+func chainify(op Operator, c rwConf) error {
 	switch o := op.(type) {
 	case *Scan:
-		return o, nil
+		return nil
 	case *HashJoin:
-		child, err := chainify(o.Left, c)
-		if err != nil {
-			return nil, err
+		if err := chainify(o.Left, c); err != nil {
+			return err
 		}
-		build, err := rewrite(o.Right, c)
-		if err != nil {
-			return nil, err
-		}
-		phj := NewParallelHashJoin(child, build, o.LeftKey, o.RightKey, c.dop)
-		phj.Observe, phj.EstBuildRows = o.Observe, o.EstBuildRows
-		return phj, nil
+		var err error
+		o.Right, err = rewrite(o.Right, c)
+		o.DOP = c.dop
+		return err
 	}
-	p, ok := op.(ParallelOp)
-	if !ok || len(p.Children()) != 1 {
-		return nil, fmt.Errorf("relational: cannot chainify operator %T", op)
+	if _, ok := op.(ParallelOp); !ok || len(op.Children()) != 1 {
+		return fmt.Errorf("relational: cannot chainify operator %T", op)
 	}
-	child, err := chainify(p.Children()[0], c)
-	if err != nil {
-		return nil, err
-	}
-	if child == p.Children()[0] {
-		return op, nil
-	}
-	return p.CloneWorker(child)
+	return chainify(op.Children()[0], c)
 }
 
 // Parallelize rewrites a physical plan for real data-parallel execution
 // at the given DOP: every maximal partition-parallel segment big enough
 // to split (more rows than one morsel) is wrapped in an Exchange. The
-// former pipeline breakers scale too: hash joins become ParallelHashJoins
-// probed inside the exchange workers against a shared build table, global
-// aggregates become per-worker PartialAggregates merged at a
-// MergeAggregate breaker, and grouped aggregates become per-worker
+// former pipeline breakers scale too: hash joins are probed inside the
+// exchange workers against a shared build table, global aggregates
+// become per-worker PartialAggregates merged at a MergeAggregate
+// breaker, and grouped aggregates become per-worker
 // PartialGroupAggregates merged by key value at a MergeGroupAggregate
 // breaker. Materializations and unions stay serial but
 // pull from parallel children. dop <= 1 returns the plan unchanged.
@@ -656,8 +642,8 @@ func ParallelizeOn(root Operator, dop, morselSize int, s *sched.Scheduler) (Oper
 // every Exchange it creates gets adaptive worker-count clamping, and the
 // breaker operators' observation hooks survive the parallel rewrite (the
 // serial operators' Observe/estimate fields are copied onto the
-// Partial/Merge pairs and ParallelHashJoins that replace them). A nil
-// context yields exactly the static rewrite.
+// Partial/Merge pairs that replace them). A nil context yields exactly
+// the static rewrite.
 func ParallelizeAdaptive(root Operator, dop, morselSize int, s *sched.Scheduler, obs AdaptiveContext) (Operator, error) {
 	if dop <= 1 {
 		return root, nil
@@ -689,11 +675,10 @@ func exchangeSegment(op Operator, c rwConf) (Operator, bool, error) {
 	if s.Table.NumRows() <= c.morselSize {
 		return nil, false, nil
 	}
-	chain, err := chainify(op, c)
-	if err != nil {
+	if err := chainify(op, c); err != nil {
 		return nil, false, err
 	}
-	ex := NewExchange(chain, c.dop, c.morselSize)
+	ex := NewExchange(op, c.dop, c.morselSize)
 	ex.Sched = c.sched
 	ex.Observe = c.obs
 	return ex, true, nil
@@ -815,10 +800,6 @@ func scanOf(op Operator) (*Scan, error) {
 		}
 		if depth > maxChainDepth {
 			return nil, fmt.Errorf("relational: operator chain exceeds depth %d without reaching a Scan leaf", maxChainDepth)
-		}
-		if j, ok := op.(*HashJoin); ok {
-			op = j.Left
-			continue
 		}
 		if co, ok := op.(chainOp); ok {
 			op = co.ChainChild()

@@ -75,9 +75,9 @@ func TestParallelJoinPlanShape(t *testing.T) {
 	if !ok {
 		t.Fatalf("expected Exchange root, got %T", root)
 	}
-	phj := findOp(ex.Template, func(op Operator) bool { _, ok := op.(*ParallelHashJoin); return ok })
+	phj := findOp(ex.Template, func(op Operator) bool { _, ok := op.(*HashJoin); return ok })
 	if phj == nil {
-		t.Fatal("no ParallelHashJoin in the exchange segment")
+		t.Fatal("no HashJoin in the exchange segment")
 	}
 	got, err := Drain(root)
 	if err != nil {
@@ -110,13 +110,17 @@ func TestParallelJoinBigBuildSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := mustParallelize(t, mk(), 4, 256)
-	phjOp := findOp(root, func(op Operator) bool { _, ok := op.(*ParallelHashJoin); return ok })
-	if phjOp == nil {
-		t.Fatal("no ParallelHashJoin in plan")
+	ex, ok := root.(*Exchange)
+	if !ok {
+		t.Fatalf("expected Exchange root, got %T", root)
 	}
-	phj := phjOp.(*ParallelHashJoin)
-	if _, ok := phj.Build.(*Exchange); !ok {
-		t.Fatalf("big build side should be an Exchange, got %T", phj.Build)
+	hjOp := findOp(ex.Template, func(op Operator) bool { _, ok := op.(*HashJoin); return ok })
+	if hjOp == nil {
+		t.Fatal("no HashJoin in the exchange segment")
+	}
+	hj := hjOp.(*HashJoin)
+	if _, ok := hj.Right.(*Exchange); !ok {
+		t.Fatalf("big build side should be an Exchange, got %T", hj.Right)
 	}
 	got, err := Drain(root)
 	if err != nil {

@@ -35,12 +35,10 @@ func SchemaOf(op Operator) (data.Schema, bool) {
 		}
 		return out, true
 	case *HashJoin:
-		return joinSchema(o.Left, o.Right)
-	case *ParallelHashJoin:
-		if o.Build == nil {
+		if o.Right == nil {
 			return nil, false
 		}
-		return joinSchema(o.Child, o.Build)
+		return joinSchema(o.Left, o.Right)
 	case *Aggregate:
 		return aggSchema(o.Aggs), true
 	case *MergeAggregate:

@@ -488,55 +488,30 @@ func (s *Sort) Open() error {
 }
 
 // Next drains the child and emits the ordered result as one batch.
+// Batches accumulate until the resident bytes exceed the budget (never,
+// without one: a nil budget's reservation is never over), at which point
+// the buffer is stable-sorted into a run (truncated to the top
+// Offset+Limit rows when a limit is set — a row below a run's own window
+// can never enter the global window) and spilled. Runs are cut at batch
+// boundaries in input order and the external merge prefers earlier runs
+// on equal keys, so the merged permutation equals the in-memory stable
+// sort exactly. A single batch is sorted as-is — the common case (a Sort
+// above an aggregation breaker) pays no copy; the buffer is cloned only
+// when a second batch must be appended, since the first may be a
+// zero-copy view of shared storage.
 func (s *Sort) Next() (*data.Table, error) {
 	defer startTimer(&s.stats)()
 	if s.done {
 		return nil, nil
 	}
 	s.done = true
-	if s.Budget.Enabled() {
-		return s.nextSpill()
-	}
-	buf, err := drainConcat(s.Ctx, s.Child)
-	if err == nil {
-		err = fault.Inject(fault.SiteSortMerge)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if s.Observe != nil {
-		rows := 0
-		if buf != nil {
-			rows = buf.NumRows()
-		}
-		s.Observe.ObserveCardinality("sort_merge", s.EstRows, float64(rows))
-	}
-	if buf == nil {
-		return nil, nil
-	}
-	out, err := sortTable(buf, s.Keys, s.Limit, s.Offset, &s.scratch)
-	if err != nil || out == nil {
-		return nil, err
-	}
-	s.stats.Rows += int64(out.NumRows())
-	s.stats.Batches++
-	return out, nil
-}
-
-// nextSpill is the budgeted drain: batches accumulate until the resident
-// bytes exceed the budget, at which point the buffer is stable-sorted
-// into a run (truncated to the top Offset+Limit rows when a limit is set
-// — a row below a run's own window can never enter the global window)
-// and spilled. Runs are cut at batch boundaries in input order and the
-// external merge prefers earlier runs on equal keys, so the merged
-// permutation equals the serial in-memory stable sort exactly.
-func (s *Sort) nextSpill() (*data.Table, error) {
 	fetch := s.Limit
 	if s.Limit >= 0 && s.Offset > 0 {
 		fetch = s.Limit + s.Offset
 	}
 	var es *externalSort
 	var buf *data.Table
+	owned := false
 	var retained int64
 	res := s.Budget.Reserve()
 	total := 0
@@ -555,10 +530,16 @@ func (s *Sort) nextSpill() (*data.Table, error) {
 			continue
 		}
 		total += b.NumRows()
-		if buf == nil {
-			buf = b.Clone()
-		} else if err := buf.AppendFrom(b); err != nil {
-			return nil, err
+		switch {
+		case buf == nil:
+			buf = b
+		case !owned:
+			buf, owned = buf.Clone(), true
+			fallthrough
+		default:
+			if err := buf.AppendFrom(b); err != nil {
+				return nil, err
+			}
 		}
 		retained += b.ByteSize()
 		if !res.Over(retained) {
@@ -578,7 +559,7 @@ func (s *Sort) nextSpill() (*data.Table, error) {
 				return nil, err
 			}
 		}
-		buf, retained = nil, 0
+		buf, owned, retained = nil, false, 0
 	}
 	if err := fault.Inject(fault.SiteSortMerge); err != nil {
 		return nil, err
@@ -586,40 +567,36 @@ func (s *Sort) nextSpill() (*data.Table, error) {
 	if s.Observe != nil {
 		s.Observe.ObserveCardinality("sort_merge", s.EstRows, float64(total))
 	}
-	if es == nil {
-		// The input never exceeded the budget: the plain in-memory sort.
-		if buf == nil {
-			return nil, nil
-		}
-		out, err := sortTable(buf, s.Keys, s.Limit, s.Offset, &s.scratch)
-		if err != nil || out == nil {
-			return nil, err
-		}
-		s.stats.Rows += int64(out.NumRows())
-		s.stats.Batches++
-		return out, nil
-	}
-	if buf != nil {
-		run, err := sortTable(buf, s.Keys, fetch, 0, &s.scratch)
-		if err != nil {
-			return nil, err
-		}
-		if run != nil {
-			es.addRunMem(run)
-		}
-	}
-	s.stats.SpillBytes += es.bytes()
-	if s.Observe != nil {
-		s.Observe.ObserveCardinality("sort_spill_bytes", 0, float64(es.bytes()))
-		s.Observe.ObserveCardinality("sort_spill_runs", 0, float64(len(es.runs)))
-	}
-	out, err := es.merge(s.Keys, s.Limit, s.Offset, &s.scratch)
-	if err != nil {
-		return nil, err
-	}
-	es.release()
-	if out == nil {
+	var out *data.Table
+	var err error
+	switch {
+	case es == nil && buf == nil:
 		return nil, nil
+	case es == nil:
+		// The input never exceeded the budget: the plain in-memory sort.
+		out, err = sortTable(buf, s.Keys, s.Limit, s.Offset, &s.scratch)
+	default:
+		if buf != nil {
+			run, err := sortTable(buf, s.Keys, fetch, 0, &s.scratch)
+			if err != nil {
+				return nil, err
+			}
+			if run != nil {
+				es.addRunMem(run)
+			}
+		}
+		s.stats.SpillBytes += es.bytes()
+		if s.Observe != nil {
+			s.Observe.ObserveCardinality("sort_spill_bytes", 0, float64(es.bytes()))
+			s.Observe.ObserveCardinality("sort_spill_runs", 0, float64(len(es.runs)))
+		}
+		out, err = es.merge(s.Keys, s.Limit, s.Offset, &s.scratch)
+		if err == nil {
+			es.release()
+		}
+	}
+	if err != nil || out == nil {
+		return nil, err
 	}
 	s.stats.Rows += int64(out.NumRows())
 	s.stats.Batches++
@@ -639,7 +616,7 @@ func (s *Sort) Children() []Operator { return []Operator{s.Child} }
 // produced no rows), polling ctx once per batch (nil ctx skips the
 // check — PartialSort runs inside exchange tasks, which poll at the
 // morsel boundary already). A single batch is returned as-is — the common
-// case (e.g. a Sort above an aggregation breaker) pays no copy; the clone
+// case (one morsel's run) pays no copy; the clone
 // happens lazily only when a second batch must be appended, since the
 // first may be a zero-copy view of shared storage.
 func drainConcat(ctx context.Context, child Operator) (*data.Table, error) {

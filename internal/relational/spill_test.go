@@ -22,6 +22,21 @@ import (
 // spillBudget is small enough that every shape below spills.
 const spillBudget = 2048
 
+// oneQueryBudget returns a budget of n resident bytes sized for one
+// query: a fresh GlobalBudget's query handle, whose floor is n.
+func oneQueryBudget(n int64, dir string) *MemBudget {
+	return NewGlobalBudget(n, dir).QueryBudgetFor(1)
+}
+
+// assertBudgetReturned asserts that, after Cleanup, the query's global
+// accountant holds no reserved bytes and no active query.
+func assertBudgetReturned(t *testing.T, mb *MemBudget) {
+	t.Helper()
+	if r, q := mb.global.Reserved(), mb.global.ActiveQueries(); r != 0 || q != 0 {
+		t.Errorf("after Cleanup: Reserved() = %d, ActiveQueries() = %d, want 0 and 0", r, q)
+	}
+}
+
 // assertNoSpillFiles asserts the spill dir holds no files.
 func assertNoSpillFiles(t *testing.T, dir string) {
 	t.Helper()
@@ -98,7 +113,7 @@ func TestSpillDifferential(t *testing.T) {
 			// Serial with budget.
 			t.Run("serial", func(t *testing.T) {
 				dir := t.TempDir()
-				mb := NewMemBudget(spillBudget, dir)
+				mb := oneQueryBudget(spillBudget, dir)
 				root := mk()
 				SetBudget(mb, root)
 				got, err := Drain(root)
@@ -112,11 +127,12 @@ func TestSpillDifferential(t *testing.T) {
 				assertTablesEqual(t, want, got)
 				mb.Cleanup()
 				assertNoSpillFiles(t, dir)
+				assertBudgetReturned(t, mb)
 			})
 			for _, dop := range dops {
 				t.Run(fmt.Sprintf("dop=%d", dop), func(t *testing.T) {
 					dir := t.TempDir()
-					mb := NewMemBudget(spillBudget, dir)
+					mb := oneQueryBudget(spillBudget, dir)
 					root := mustParallelize(t, mk(), dop, 128)
 					SetBudget(mb, root)
 					got, err := Drain(root)
@@ -129,6 +145,7 @@ func TestSpillDifferential(t *testing.T) {
 					assertTablesEqual(t, want, got)
 					mb.Cleanup()
 					assertNoSpillFiles(t, dir)
+					assertBudgetReturned(t, mb)
 				})
 			}
 		})
@@ -143,7 +160,7 @@ func TestSpillStatsReported(t *testing.T) {
 	for name, mk := range spillShapes(t) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			mb := NewMemBudget(spillBudget, dir)
+			mb := oneQueryBudget(spillBudget, dir)
 			obs := &captureAdaptive{}
 			root := mk()
 			SetBudget(mb, root)
@@ -175,6 +192,7 @@ func TestSpillStatsReported(t *testing.T) {
 			}
 			mb.Cleanup()
 			assertNoSpillFiles(t, dir)
+			assertBudgetReturned(t, mb)
 		})
 	}
 }
@@ -215,8 +233,8 @@ func setObserve(root Operator, obs AdaptiveContext) {
 
 // TestSpillFaultPaths injects failures, cancellation and panics at the
 // spill-write and spill-read sites and asserts the query surfaces the
-// fault while budget cleanup leaves no temp files (and, for parallel
-// plans, no goroutines).
+// fault while budget cleanup leaves no temp files, returns every global
+// reservation (and, for parallel plans, leaves no goroutines).
 func TestSpillFaultPaths(t *testing.T) {
 	shapes := spillShapes(t)
 	boom := errors.New("injected spill fault")
@@ -227,7 +245,7 @@ func TestSpillFaultPaths(t *testing.T) {
 				f := testfix.InjectFaults(t)
 				f.FailAt(site, 1, boom)
 				dir := t.TempDir()
-				mb := NewMemBudget(spillBudget, dir)
+				mb := oneQueryBudget(spillBudget, dir)
 				root := mustParallelize(t, mk(), 2, 128)
 				SetBudget(mb, root)
 				_, err := Drain(root)
@@ -239,6 +257,7 @@ func TestSpillFaultPaths(t *testing.T) {
 				}
 				mb.Cleanup()
 				assertNoSpillFiles(t, dir)
+				assertBudgetReturned(t, mb)
 			})
 		}
 		t.Run(name+"/cancel@spill.write", func(t *testing.T) {
@@ -248,7 +267,7 @@ func TestSpillFaultPaths(t *testing.T) {
 			defer cancel()
 			f.CallAt(fault.SiteSpillWrite, 2, cancel)
 			dir := t.TempDir()
-			mb := NewMemBudget(spillBudget, dir)
+			mb := oneQueryBudget(spillBudget, dir)
 			root := mustParallelize(t, mk(), 2, 128)
 			SetContext(ctx, root)
 			SetBudget(mb, root)
@@ -261,13 +280,14 @@ func TestSpillFaultPaths(t *testing.T) {
 			}
 			mb.Cleanup()
 			assertNoSpillFiles(t, dir)
+			assertBudgetReturned(t, mb)
 		})
 		t.Run(name+"/panic@spill.write", func(t *testing.T) {
 			testfix.LeakCheck(t)
 			f := testfix.InjectFaults(t)
 			f.PanicAt(fault.SiteSpillWrite, 1, "injected spill panic")
 			dir := t.TempDir()
-			mb := NewMemBudget(spillBudget, dir)
+			mb := oneQueryBudget(spillBudget, dir)
 			root := mk()
 			SetBudget(mb, root)
 			err := func() (err error) {
@@ -284,6 +304,7 @@ func TestSpillFaultPaths(t *testing.T) {
 			}
 			mb.Cleanup()
 			assertNoSpillFiles(t, dir)
+			assertBudgetReturned(t, mb)
 		})
 	}
 }
@@ -295,11 +316,11 @@ func TestSpillBudgetDisabled(t *testing.T) {
 	if nilBudget.Enabled() {
 		t.Fatal("nil budget enabled")
 	}
-	if NewMemBudget(0, "").Enabled() {
+	if oneQueryBudget(0, "").Enabled() {
 		t.Fatal("zero budget enabled")
 	}
 	dir := t.TempDir()
-	mb := NewMemBudget(0, dir)
+	mb := oneQueryBudget(0, dir)
 	for _, mk := range spillShapes(t) {
 		root := mk()
 		SetBudget(mb, root)

@@ -195,12 +195,10 @@ type Session struct {
 	// adaptive is the WithAdaptive request, applied after all options so
 	// it sees the final strategy and GPU declaration.
 	adaptive bool
-	// memBudget/spillDir are the WithMemoryBudget request, applied after
-	// all options so they compose with WithProfile in any order.
-	memBudget int64
-	spillDir  string
 	// globalBudget, when non-nil, is the engine-global memory accountant
-	// shared by every query this session runs (WithGlobalMemoryBudget).
+	// shared by every query this session runs (WithGlobalMemoryBudget),
+	// applied after all options so it composes with WithProfile in any
+	// order.
 	globalBudget *relational.GlobalBudget
 	// chunkThreshold is the row count at which RegisterTableCSV keeps a
 	// CSV in chunked storage instead of materializing it (0 = the
@@ -266,39 +264,22 @@ func WithAdaptive() Option {
 	return func(s *Session) { s.adaptive = true }
 }
 
-// WithMemoryBudget enables out-of-core execution: each pipeline breaker
-// (join build, grouped-aggregation merge, sort) keeps at most bytes of
-// state resident and spills the rest to compressed temp files, merged
-// back externally. Results — including row order — stay byte-identical
-// to the in-memory execution at any parallelism; Result.SpilledBytes
-// reports the spill volume. dir is the spill directory (empty = the OS
-// temp dir); files are removed when the query finishes, on error,
-// cancellation and panic paths included. bytes <= 0 disables spilling
-// (the default).
-func WithMemoryBudget(bytes int64, dir string) Option {
-	return func(s *Session) {
-		s.memBudget = bytes
-		s.spillDir = dir
-	}
-}
-
 // WithGlobalMemoryBudget enables out-of-core execution under one
-// engine-global accountant: the resident breaker bytes of every query the
+// engine-global accountant: the resident bytes of every pipeline breaker
+// (join build, grouped-aggregation merge, sort) of every query the
 // session runs — including concurrent ones — draw from a single budget of
-// the given size, so total memory pressure is bounded for the whole
-// session rather than per query. Each query keeps an admission-aware
-// floor (budget divided by the scheduler's admission cap) that is always
-// granted, so concurrent neighbors can force a query to spill earlier but
-// never livelock it. dir is the spill directory (empty = the OS temp
-// dir). Result.SpilledBytes still reports per-query spill volume;
-// MemoryStats exposes the global pressure. Takes precedence over
-// WithMemoryBudget when both are given.
+// the given size, and state beyond it spills to compressed temp files,
+// merged back externally. Results — including row order — stay
+// byte-identical to the in-memory execution at any parallelism. Each
+// query keeps an admission-aware floor (budget divided by the scheduler's
+// admission cap) that is always granted, so concurrent neighbors can
+// force a query to spill earlier but never livelock it. dir is the spill
+// directory (empty = the OS temp dir); files are removed when the query
+// finishes, on error, cancellation and panic paths included.
+// Result.SpilledBytes reports per-query spill volume; MemoryStats exposes
+// the global pressure. bytes <= 0 disables spilling (the default).
 func WithGlobalMemoryBudget(bytes int64, dir string) Option {
-	return func(s *Session) {
-		if bytes > 0 {
-			s.globalBudget = relational.NewGlobalBudget(bytes, dir)
-		}
-	}
+	return func(s *Session) { s.globalBudget = relational.NewGlobalBudget(bytes, dir) }
 }
 
 // WithChunkedRegistration sets the row threshold at or above which
@@ -345,10 +326,6 @@ func NewSession(options ...Option) *Session {
 		if c, ok := s.opts.Strategy.(opt.CardinalityAwareStrategy); ok {
 			s.profile.AdaptiveChooser = c
 		}
-	}
-	if s.memBudget > 0 {
-		s.profile.MemoryBudget = s.memBudget
-		s.profile.SpillDir = s.spillDir
 	}
 	if s.globalBudget != nil {
 		s.profile.GlobalBudget = s.globalBudget
@@ -468,7 +445,9 @@ func (s *Session) RegisterModelFile(path string) (*Pipeline, error) {
 type Result struct {
 	// Table holds the result rows.
 	Table *Table
-	// Wall is the measured single-thread execution time.
+	// Wall is the measured elapsed time of the operator drain (Open
+	// through the last batch and Close) at the query's DOP. Parsing,
+	// planning, admission wait and result encoding are outside it.
 	Wall time.Duration
 	// Reported is the profile's cost-model time (see docs/ARCHITECTURE.md,
 	// "Measured vs modeled time").
