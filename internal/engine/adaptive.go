@@ -33,7 +33,7 @@ func (l *lowerer) adaptivePredict() bool {
 // the plan-time (static) choice plus everything needed to rebuild the
 // physical operator under a different choice at Open.
 func (l *lowerer) lowerAdaptivePredict(n *ir.Node, child Operator, static opt.Choice) Operator {
-	a := &AdaptivePredict{
+	return &AdaptivePredict{
 		Child:        child,
 		Pipeline:     n.Pipeline,
 		InputMap:     n.InputMap,
@@ -46,11 +46,8 @@ func (l *lowerer) lowerAdaptivePredict(n *ir.Node, child Operator, static opt.Ch
 		Chooser:      l.prof.AdaptiveChooser,
 		GPUAvailable: l.prof.AdaptiveGPU,
 		ExecDOP:      l.prof.ExecDOP,
+		Shared:       l.cat.Sessions(),
 	}
-	if !l.prof.PrivateMLSessions {
-		a.Shared = l.cat.Sessions()
-	}
-	return a
 }
 
 // adaptiveDecision is the once-per-query runtime decision shared between an
@@ -58,28 +55,16 @@ func (l *lowerer) lowerAdaptivePredict(n *ir.Node, child Operator, static opt.Ch
 // Open (always the exchange template's, or the sole serial instance's)
 // re-costs with the observed cardinality and fixes the choice; every clone
 // then builds its inner operator under the same choice, so all workers emit
-// identical layouts. It also carries the cross-clone shared state the
-// non-adaptive operators would have shared through CloneWorker: the
-// op-private ML session pool and the compiled tensor program.
+// identical layouts. It also carries the compiled tensor program, the
+// cross-clone shared state the non-adaptive DNN operator would have
+// shared through CloneWorker.
 type adaptiveDecision struct {
 	once     sync.Once
 	choice   opt.Choice
 	sqlExprs []relational.NamedExpr
 
-	mu   sync.Mutex
-	pool *sessionPool
-	dnn  *dnnShared
-}
-
-// privatePool lazily creates the op-private session pool shared across
-// clones (used only when no engine-level shared pool is attached).
-func (d *adaptiveDecision) privatePool() *sessionPool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.pool == nil {
-		d.pool = &sessionPool{}
-	}
-	return d.pool
+	mu  sync.Mutex
+	dnn *dnnShared
 }
 
 // dnnState lazily creates the shared compile-once holder for the tensor
@@ -112,8 +97,7 @@ type AdaptivePredict struct {
 	Static opt.Choice
 	// GPU is the device for a DNN-GPU inner (nil: simulated Tesla P100).
 	GPU *device.Device
-	// Shared is the engine-level ML session pool (nil: op-private pool
-	// shared across this operator's clones).
+	// Shared is the engine-level ML session pool (the catalog's).
 	Shared *mlruntime.Pool
 	// RStats is the per-query adaptive context the breakers feed.
 	RStats *opt.RuntimeStats
@@ -293,9 +277,6 @@ func (a *AdaptivePredict) openInner() error {
 			OutputMap: a.OutputMap,
 			KeepInput: a.KeepInput,
 			Shared:    a.Shared,
-		}
-		if a.Shared == nil {
-			op.pool = a.dec.privatePool()
 		}
 		a.inner = op
 	}

@@ -92,10 +92,6 @@ type Profile struct {
 	// query multiplexes over one bounded set of workers; tests inject
 	// private schedulers for isolation.
 	Sched *sched.Scheduler
-	// PrivateMLSessions disables the catalog-level shared ML session pool,
-	// giving every query run its own sessions (the pre-serving behaviour;
-	// kept as a benchmark baseline for the pooling win).
-	PrivateMLSessions bool
 	// Adaptive enables mid-query re-optimization: the pipeline breakers
 	// (join build, grouped-aggregation merge, sort merge) record observed
 	// cardinalities into a per-query opt.RuntimeStats, and at each breaker

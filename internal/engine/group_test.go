@@ -26,9 +26,10 @@ func groupCatalog(t *testing.T, rows int) *Catalog {
 }
 
 // TestLowerGroupByPicksGroupAggregate pins the lowering: a grouped
-// aggregate node lowers to relational.GroupAggregate carrying the
-// profile's dense-vs-hash grouping choice, and a global one still lowers
-// to the scalar Aggregate.
+// aggregate node lowers to a MergeGroupAggregate over an inline
+// PartialGroupAggregate carrying the profile's dense-vs-hash grouping
+// choice, and a global one to a MergeAggregate over an inline
+// PartialAggregate.
 func TestLowerGroupByPicksGroupAggregate(t *testing.T) {
 	cat := groupCatalog(t, 100)
 	grouped, err := sqlparse.ParseAndPlan(
@@ -42,15 +43,23 @@ func TestLowerGroupByPicksGroupAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ga, ok := root.(*relational.GroupAggregate)
+	ga, ok := root.(*relational.MergeGroupAggregate)
 	if !ok {
-		t.Fatalf("lowered root = %T, want *relational.GroupAggregate", root)
+		t.Fatalf("lowered root = %T, want *relational.MergeGroupAggregate", root)
 	}
-	if ga.DenseLimit != -1 {
-		t.Fatalf("DenseLimit = %d, want profile's -1", ga.DenseLimit)
+	part, ok := ga.Child.(*relational.PartialGroupAggregate)
+	if !ok {
+		t.Fatalf("merge child = %T, want an inline *relational.PartialGroupAggregate", ga.Child)
 	}
-	if len(ga.Keys) != 1 || ga.Keys[0] != "sales.market" {
-		t.Fatalf("Keys = %v", ga.Keys)
+	if part.DenseLimit != -1 {
+		t.Fatalf("DenseLimit = %d, want profile's -1", part.DenseLimit)
+	}
+	if len(ga.Keys) != 1 || ga.Keys[0] != "sales.market" ||
+		len(part.Keys) != 1 || part.Keys[0] != "sales.market" {
+		t.Fatalf("Keys = %v (merge), %v (partial)", ga.Keys, part.Keys)
+	}
+	if _, ok := part.Child.(*relational.Scan); !ok {
+		t.Fatalf("partial child = %T, want *relational.Scan", part.Child)
 	}
 	global, err := sqlparse.ParseAndPlan("SELECT SUM(amount) AS s FROM sales", cat)
 	if err != nil {
@@ -60,8 +69,12 @@ func TestLowerGroupByPicksGroupAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := root.(*relational.Aggregate); !ok {
-		t.Fatalf("lowered global root = %T, want *relational.Aggregate", root)
+	ma, ok := root.(*relational.MergeAggregate)
+	if !ok {
+		t.Fatalf("lowered global root = %T, want *relational.MergeAggregate", root)
+	}
+	if _, ok := ma.Child.(*relational.PartialAggregate); !ok {
+		t.Fatalf("merge child = %T, want an inline *relational.PartialAggregate", ma.Child)
 	}
 }
 

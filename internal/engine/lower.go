@@ -9,13 +9,15 @@ import (
 )
 
 // Lower converts a unified-IR plan into a physical operator tree under the
-// given profile. When the profile requests real parallelism (ExecDOP > 1)
-// partition-parallel segments are rewritten into morsel-driven Exchange
-// operators; hash joins inside such segments probe in parallel against a
-// shared build table, global aggregates fold per-worker partial
-// accumulators, and grouped aggregates fold per-worker grouped
+// given profile. Aggregates lower to their partial/merge operator pair,
+// the partial inline under the merge. When the profile requests real
+// parallelism (ExecDOP > 1) partition-parallel segments are rewritten
+// into morsel-driven Exchange operators; hash joins inside such segments
+// probe in parallel against a shared build table, and an aggregate's
+// partial moves into the exchange workers — global aggregates fold
+// per-worker partial accumulators, grouped aggregates per-worker grouped
 // accumulators (dense code-indexed or hashed per Profile.DenseGroupLimit)
-// merged by key value at a breaker, so join- and aggregate-heavy
+// merged by key value at the breaker — so join- and aggregate-heavy
 // prediction queries scale past one core too. The profile batch size
 // doubles as the morsel size,
 // which keeps parallel batch boundaries aligned with serial ones — the
@@ -119,32 +121,32 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Every aggregate lowers to its partial/merge pair, with the
+		// partial inline at DOP 1; under ExecDOP > 1 the Parallelize
+		// rewrite moves the partial into the exchange workers when its
+		// input is big enough. The merge is coordinator work, which the
+		// reported-time walk charges fully.
 		if len(n.GroupBy) > 0 {
 			// Grouped aggregation: the profile picks dense code-indexed
-			// grouping vs hashed typed keys (DenseGroupLimit); under
-			// ExecDOP > 1 the Parallelize rewrite turns this into
-			// per-worker PartialGroupAggregates under a
-			// MergeGroupAggregate breaker, whose serial merge work the
-			// reported-time walk charges fully (it is coordinator work,
-			// like the global aggregate's merge).
-			ga := &relational.GroupAggregate{Child: child, Keys: n.GroupBy,
+			// grouping vs hashed typed keys (DenseGroupLimit).
+			part := &relational.PartialGroupAggregate{Child: child, Keys: n.GroupBy,
 				Aggs: n.Aggs, DenseLimit: l.prof.DenseGroupLimit}
+			merge := &relational.MergeGroupAggregate{Child: part, Keys: n.GroupBy, Aggs: n.Aggs}
 			if l.rs != nil {
-				ga.Observe = l.rs
-				ga.EstRows = l.est(n.Children[0])
-				ga.EstGroups = l.est(n)
+				part.Observe, part.EstRows = l.rs, l.est(n.Children[0])
+				merge.Observe, merge.EstGroups = l.rs, l.est(n)
 			}
-			return ga, nil
+			return merge, nil
 		}
-		return &relational.Aggregate{Child: child, Aggs: n.Aggs}, nil
+		return &relational.MergeAggregate{Child: &relational.PartialAggregate{Child: child, Aggs: n.Aggs},
+			Aggs: n.Aggs}, nil
 	case ir.KindHaving:
 		child, err := l.lower(n.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		// HAVING evaluates above the grouped aggregation — under
-		// ExecDOP > 1 that means above the MergeGroupAggregate breaker,
-		// where group keys and aggregate outputs exist as columns.
+		// HAVING evaluates above the MergeGroupAggregate breaker, where
+		// group keys and aggregate outputs exist as columns.
 		return &relational.HavingFilter{Child: child, Pred: n.Pred}, nil
 	case ir.KindSort:
 		child, err := l.lower(n.Children[0])
@@ -217,19 +219,16 @@ func (l *lowerer) lowerPredict(n *ir.Node) (Operator, error) {
 		if l.adaptivePredict() {
 			return l.lowerAdaptivePredict(n, child, opt.ChoiceNone), nil
 		}
-		op := &PredictOp{
+		return &PredictOp{
 			Child:               child,
 			Pipeline:            n.Pipeline,
 			InputMap:            n.InputMap,
 			OutputMap:           n.OutputMap,
 			KeepInput:           n.KeepInput,
 			MaterializeFeatures: l.prof.MaterializeFeaturization,
-		}
-		if !l.prof.PrivateMLSessions {
 			// Sessions for this pipeline+binding are checked out of the
 			// catalog's engine-level pool, shared across queries.
-			op.Shared = l.cat.Sessions()
-		}
-		return op, nil
+			Shared: l.cat.Sessions(),
+		}, nil
 	}
 }

@@ -3,6 +3,7 @@ package relational
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -33,18 +34,39 @@ func benchTable(rows int, encode bool) *data.PartitionedTable {
 	return data.SinglePartition(tb)
 }
 
+// benchDrain times b.N builds and drains of mk's plan, then reports
+// allocs/op from a separate pass with the garbage collector off: a GC
+// cycle that lands inside the timed loop allocates on the runtime's own
+// account, which would make the count drift between runs of one binary.
 func benchDrain(b *testing.B, mk func() Operator, rows int) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := Drain(mk())
-		if err != nil {
+		if _, err := Drain(mk()); err != nil {
 			b.Fatal(err)
 		}
-		_ = out
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(drainAllocs(b, mk), "allocs/op")
+}
+
+// drainAllocs counts the heap allocations of one build and drain of mk's
+// plan with the garbage collector off, averaged over a few runs.
+func drainAllocs(b *testing.B, mk func() Operator) float64 {
+	b.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var err error
+	n := testing.AllocsPerRun(5, func() {
+		if _, derr := Drain(mk()); derr != nil {
+			err = derr
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n
 }
 
 func BenchmarkFilterAllTrue(b *testing.B) {

@@ -88,10 +88,6 @@ func SetContext(ctx context.Context, root Operator) {
 		op.Ctx = ctx
 	case *HashJoin:
 		op.Ctx = ctx
-	case *Aggregate:
-		op.Ctx = ctx
-	case *GroupAggregate:
-		op.Ctx = ctx
 	case *MergeAggregate:
 		op.Ctx = ctx
 	case *MergeGroupAggregate:

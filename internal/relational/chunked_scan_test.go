@@ -79,15 +79,11 @@ func chunkScanShapes(pf, dim *data.PartitionedTable) map[string]func() Operator 
 			}
 		},
 		"group": func() Operator {
-			return &GroupAggregate{
-				Child: NewScan(pf, "", nil, 128),
-				Keys:  []string{"grp", "k"},
-				Aggs: []AggSpec{
-					{Fn: AggCount, As: "n"},
-					{Fn: AggSum, Col: "v", As: "sv"},
-					{Fn: AggAvg, Col: "v", As: "av"},
-				},
-			}
+			return groupAgg(NewScan(pf, "", nil, 128), []string{"grp", "k"}, []AggSpec{
+				{Fn: AggCount, As: "n"},
+				{Fn: AggSum, Col: "v", As: "sv"},
+				{Fn: AggAvg, Col: "v", As: "av"},
+			}, 0)
 		},
 		"sort": func() Operator {
 			return &Sort{
@@ -167,6 +163,7 @@ func TestChunkedScanDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					assertAggMatchesReference(t, shape, mkMem(), want)
 					t.Run("serial", func(t *testing.T) {
 						got, err := Drain(mkChunk())
 						if err != nil {

@@ -20,7 +20,10 @@ import (
 // shape) — under BOTH string representations (raw and
 // dictionary-encoded), and every execution must be byte-identical to
 // the raw serial baseline at DOP 1, 2, 4 and NumCPU — for the ordered
-// shapes that includes the row order itself. The engine-level twin
+// shapes that includes the row order itself. The serial baseline is the
+// DOP-1 plan, aggregates included (their partial runs inline), so every
+// aggregate-rooted shape is also checked against the naive reference
+// aggregator (refGroupAggregate), which shares no execution machinery. The engine-level twin
 // (internal/engine/differential_test.go) drives the same property
 // through SQL planning, optimization and ML predict plans over the
 // datagen datasets.
@@ -192,13 +195,13 @@ func diffShapes(f *diffFixture, batch int) map[string]func() Operator {
 			return &Filter{Child: scanChain(), Pred: In(Col("grp"), "missing")}
 		},
 		"agg-over-scan": func() Operator {
-			return &Aggregate{Child: scanChain(), Aggs: aggs}
+			return globalAgg(scanChain(), aggs)
 		},
 		"agg-over-join": func() Operator {
-			return &Aggregate{Child: joinJoin(), Aggs: aggs}
+			return globalAgg(joinJoin(), aggs)
 		},
 		"agg-over-str-join": func() Operator {
-			return &Aggregate{Child: joinStr(), Aggs: aggs}
+			return globalAgg(joinStr(), aggs)
 		},
 		// Grouped aggregation: string key (dense dict path when encoded),
 		// integer key, multi-key, hash-forced grouping, and groups over
@@ -206,26 +209,22 @@ func diffShapes(f *diffFixture, batch int) map[string]func() Operator {
 		// including output row order (first occurrence in serial batch
 		// order).
 		"group-str-key": func() Operator {
-			return &GroupAggregate{Child: scanChain(), Keys: []string{"grp"}, Aggs: aggs}
+			return groupAgg(scanChain(), []string{"grp"}, aggs, 0)
 		},
 		"group-str-key-hash": func() Operator {
-			return &GroupAggregate{Child: scanChain(), Keys: []string{"grp"},
-				Aggs: aggs, DenseLimit: -1}
+			return groupAgg(scanChain(), []string{"grp"}, aggs, -1)
 		},
 		"group-int-key": func() Operator {
-			return &GroupAggregate{Child: scanChain(), Keys: []string{"k2"}, Aggs: aggs}
+			return groupAgg(scanChain(), []string{"k2"}, aggs, 0)
 		},
 		"group-multi-key": func() Operator {
-			return &GroupAggregate{Child: scanChain(),
-				Keys: []string{"grp", "k2"}, Aggs: aggs}
+			return groupAgg(scanChain(), []string{"grp", "k2"}, aggs, 0)
 		},
 		"group-over-join": func() Operator {
-			return &GroupAggregate{Child: joinJoin(),
-				Keys: []string{"dim_s"}, Aggs: aggs}
+			return groupAgg(joinJoin(), []string{"dim_s"}, aggs, 0)
 		},
 		"group-over-str-join": func() Operator {
-			return &GroupAggregate{Child: joinStr(),
-				Keys: []string{"grp", "dim3_s"}, Aggs: aggs}
+			return groupAgg(joinStr(), []string{"grp", "dim3_s"}, aggs, 0)
 		},
 		// Ordered output: row order is now semantically asserted — the
 		// parallel PartialSort runs k-way merged at MergeSortRuns must
@@ -249,7 +248,7 @@ func diffShapes(f *diffFixture, batch int) map[string]func() Operator {
 		},
 		"having-avg-group": func() Operator {
 			return &HavingFilter{
-				Child: &GroupAggregate{Child: scanChain(), Keys: []string{"grp"}, Aggs: aggs},
+				Child: groupAgg(scanChain(), []string{"grp"}, aggs, 0),
 				Pred:  NewBinOp(OpGt, Col("avg_edge"), Num(-1e14)),
 			}
 		},
@@ -268,9 +267,8 @@ func diffShapes(f *diffFixture, batch int) map[string]func() Operator {
 		},
 		"sort-group-key-asc": func() Operator {
 			return &Sort{
-				Child: &GroupAggregate{Child: scanChain(),
-					Keys: []string{"grp", "k2"}, Aggs: aggs},
-				Keys: []SortKey{{Col: "grp"}, {Col: "sum_v", Desc: true}}, Limit: -1,
+				Child: groupAgg(scanChain(), []string{"grp", "k2"}, aggs, 0),
+				Keys:  []SortKey{{Col: "grp"}, {Col: "sum_v", Desc: true}}, Limit: -1,
 			}
 		},
 	}
@@ -282,7 +280,7 @@ func diffShapes(f *diffFixture, batch int) map[string]func() Operator {
 func rankShape(child Operator, aggs []AggSpec, limit int) Operator {
 	return &Sort{
 		Child: &HavingFilter{
-			Child: &GroupAggregate{Child: child, Keys: []string{"grp"}, Aggs: aggs},
+			Child: groupAgg(child, []string{"grp"}, aggs, 0),
 			Pred:  NewBinOp(OpGt, Col("n"), Num(0)),
 		},
 		Keys:  []SortKey{{Col: "avg_edge", Desc: true}, {Col: "grp"}},
@@ -310,6 +308,7 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed=%d %s serial: %v", seed, name, err)
 			}
+			assertAggMatchesReference(t, fmt.Sprintf("seed=%d %s", seed, name), mk(), serial)
 			for repr, mkr := range map[string]func() Operator{"raw": mk, "dict": encShapes[name]} {
 				encSerial, err := Drain(mkr())
 				if err != nil {

@@ -29,7 +29,11 @@
 // the engine-global GlobalBudget, and spills when a grow is denied. The
 // breakers of one query share its bytes. There is one HashJoin: inside
 // an exchange its probe side is the worker chain and its worker clones
-// share one build index.
+// share one build index. There is one aggregation operator pair per
+// aggregate — PartialAggregate/MergeAggregate (global) and
+// PartialGroupAggregate/MergeGroupAggregate (GROUP BY) — with the
+// partial inline under its merge at DOP 1 and inside the exchange
+// workers when the parallel rewrite splits its input.
 // Join builds spill their build rows (typed indexes stay resident, so
 // probe order is untouched); grouped aggregation grace-hash-partitions
 // spilled partial-aggregate state with fold sequence numbers so

@@ -10,24 +10,26 @@ import (
 	"raven/internal/fault"
 )
 
-// Grouped aggregation (GROUP BY) — the grouped twin of the global
-// aggregation in ops.go / parallel_agg.go, built on the same per-batch
-// partial + in-order fold discipline:
+// Grouped aggregation (GROUP BY) is one operator pair at every DOP, built
+// on the same per-batch partial + in-order fold discipline as the global
+// aggregation in parallel_agg.go:
 //
-//   - every input batch is folded into a batch-local grouped accumulator
-//     (groups in first-occurrence row order, each holding the same
-//     COUNT/SUM/MIN/MAX state the global aggPartial carries, AVG
-//     decomposed into SUM+COUNT);
-//   - batch accumulators are merged by group KEY VALUE into a global
-//     accumulator in stream order (serial: batch order; parallel: morsel
-//     order, which the Exchange guarantees equals serial batch order).
+//   - PartialGroupAggregate folds every input batch into a batch-local
+//     grouped accumulator (groups in first-occurrence row order, each
+//     holding the same COUNT/SUM/MIN/MAX state the global aggPartial
+//     carries, AVG decomposed into SUM+COUNT) and emits it as a partial
+//     table;
+//   - MergeGroupAggregate merges the partial tables by group KEY VALUE
+//     into a global accumulator in stream order.
 //
-// Because both execution modes run the identical per-batch accumulation
-// and the identical value-keyed fold — and the parallel partials round-
-// trip exactly through float64 columns — parallel grouped results are
-// byte-identical to serial ones, at any DOP and under either string
-// representation. Output row order is deterministic: first occurrence of
-// the group key in serial batch order.
+// At DOP 1 the partial runs inline under the merge, so stream order is
+// batch order; under an Exchange the partials run in the workers and the
+// exchange re-emits them in morsel order, which equals batch order. Both
+// placements run the identical per-batch accumulation and the identical
+// value-keyed fold — and the partials round-trip exactly through float64
+// columns — so grouped results are byte-identical at any DOP and under
+// either string representation. Output row order is deterministic: first
+// occurrence of the group key in batch order.
 //
 // Two grouping paths compute the batch-local accumulator:
 //
@@ -144,12 +146,57 @@ func (k *keyBuilder) column() *data.Column {
 }
 
 // batchGroups is the grouped accumulator of one batch: per group (in
-// first-occurrence row order) the first row index and the aggregate
-// partial, plus the batch's key columns for value extraction.
+// first-occurrence row order) the first row index and stride floats of
+// aggregate state — COUNT, then SUM/MIN/MAX per aggregate, the
+// partialColumns order — plus the batch's key columns for value
+// extraction. Its slices are scratch buffers, valid until the next batch.
 type batchGroups struct {
 	keyCols   []*data.Column
 	firstRows []int
-	parts     []*aggPartial
+	stride    int
+	state     []float64
+	ident     []float64 // one empty group's state
+}
+
+// newGroup appends an empty group first seen at row i and returns its
+// index.
+func (bg *batchGroups) newGroup(i int) int {
+	bg.firstRows = append(bg.firstRows, i)
+	bg.state = append(bg.state, bg.ident...)
+	return len(bg.firstRows) - 1
+}
+
+// group returns group g's state.
+func (bg *batchGroups) group(g int) []float64 {
+	return bg.state[g*bg.stride : (g+1)*bg.stride]
+}
+
+// columns transposes the state into one fresh float column per
+// partialColumns entry, named by names.
+func (bg *batchGroups) columns(names []string) []*data.Column {
+	n := len(bg.firstRows)
+	buf := make([]float64, n*bg.stride)
+	cols := make([]*data.Column, bg.stride)
+	for j := range cols {
+		col := buf[j*n : (j+1)*n : (j+1)*n]
+		for g := range col {
+			col[g] = bg.state[g*bg.stride+j]
+		}
+		cols[j] = data.NewFloat(names[j], col)
+	}
+	return cols
+}
+
+// partialIdentity is one empty group's state for n aggregates: COUNT and
+// SUM 0, MIN and MAX at their fold identities +Inf and -Inf, so every
+// input value wins the first comparison.
+func partialIdentity(n int) []float64 {
+	out := make([]float64, 1+3*n)
+	for i := 0; i < n; i++ {
+		out[2+3*i] = math.Inf(1)
+		out[3+3*i] = math.Inf(-1)
+	}
+	return out
 }
 
 // groupScratch holds the per-operator (per-worker) reusable state of the
@@ -162,7 +209,9 @@ type groupScratch struct {
 	denseG  []int32 // code → group index + 1; 0 = unseen this batch
 	buf     []byte
 	aggCols []*data.Column
+	encs    []groupKeyEnc
 	hashIdx map[string]int
+	bg      batchGroups
 }
 
 // resolveAggCols caches the per-batch aggregate input columns (nil slots
@@ -186,22 +235,23 @@ func (s *groupScratch) resolveAggCols(b *data.Table, aggs []AggSpec) error {
 	return nil
 }
 
-// addRow folds row i of the batch into the group's partial. Visiting rows
-// in batch order with these exact operations is the contract every
-// grouping path (dense, hash, serial, parallel) shares.
-func (s *groupScratch) addRow(p *aggPartial, i int) {
-	p.count++
-	for gi, c := range s.aggCols {
+// addRow folds row i of the batch into a group's state st. Visiting rows
+// in batch order with these exact operations is the contract both
+// grouping paths (dense, hash) share at every DOP.
+func (s *groupScratch) addRow(st []float64, i int) {
+	st[0]++
+	for a, c := range s.aggCols {
 		if c == nil {
 			continue
 		}
 		v := c.AsFloat(i)
-		p.sums[gi] += v
-		if v < p.mins[gi] {
-			p.mins[gi] = v
+		p := st[1+3*a : 4+3*a]
+		p[0] += v
+		if v < p[1] {
+			p[1] = v
 		}
-		if v > p.maxs[gi] {
-			p.maxs[gi] = v
+		if v > p[2] {
+			p[2] = v
 		}
 	}
 }
@@ -223,22 +273,27 @@ func denseKey(keyCols []*data.Column, limit int) (*data.Column, bool) {
 	return nil, false
 }
 
-// accumulateGroupedBatch computes the batch-local grouped accumulator.
+// accumulateGroupedBatch computes the batch-local grouped accumulator,
+// held in the scratch until the next call.
 func (s *groupScratch) accumulateGroupedBatch(b *data.Table, keys []string, aggs []AggSpec, denseLimit int) (*batchGroups, error) {
-	keyCols := make([]*data.Column, len(keys))
-	for i, k := range keys {
+	bg := &s.bg
+	bg.keyCols = bg.keyCols[:0]
+	for _, k := range keys {
 		c := b.Col(k)
 		if c == nil {
 			return nil, fmt.Errorf("relational: group key column %q missing", k)
 		}
-		keyCols[i] = c
+		bg.keyCols = append(bg.keyCols, c)
 	}
 	if err := s.resolveAggCols(b, aggs); err != nil {
 		return nil, err
 	}
-	bg := &batchGroups{keyCols: keyCols}
+	if bg.stride = 1 + 3*len(aggs); len(bg.ident) != bg.stride {
+		bg.ident = partialIdentity(len(aggs))
+	}
+	bg.firstRows, bg.state = bg.firstRows[:0], bg.state[:0]
 	n := b.NumRows()
-	if kc, ok := denseKey(keyCols, denseLimit); ok {
+	if kc, ok := denseKey(bg.keyCols, denseLimit); ok {
 		// Dense path: the shared dictionary indexes a reusable code→group
 		// array. A dictionary switch (new table, re-encoded column)
 		// reinitializes it; otherwise only the codes touched by the
@@ -252,25 +307,23 @@ func (s *groupScratch) accumulateGroupedBatch(b *data.Table, keys []string, aggs
 			code := codes[i]
 			gi := s.denseG[code]
 			if gi == 0 {
-				bg.firstRows = append(bg.firstRows, i)
-				bg.parts = append(bg.parts, newAggPartial(len(aggs)))
-				gi = int32(len(bg.parts))
+				gi = int32(bg.newGroup(i)) + 1
 				s.denseG[code] = gi
 			}
-			s.addRow(bg.parts[gi-1], i)
+			s.addRow(bg.group(int(gi-1)), i)
 		}
 		for _, r := range bg.firstRows {
 			s.denseG[codes[r]] = 0
 		}
 		return bg, nil
 	}
-	encs := make([]groupKeyEnc, len(keyCols))
-	for i, c := range keyCols {
+	s.encs = s.encs[:0]
+	for _, c := range bg.keyCols {
 		enc, err := keyEncoder(c)
 		if err != nil {
 			return nil, err
 		}
-		encs[i] = enc
+		s.encs = append(s.encs, enc)
 	}
 	if s.hashIdx == nil {
 		s.hashIdx = make(map[string]int, 16)
@@ -279,26 +332,23 @@ func (s *groupScratch) accumulateGroupedBatch(b *data.Table, keys []string, aggs
 	}
 	for i := 0; i < n; i++ {
 		s.buf = s.buf[:0]
-		for _, enc := range encs {
+		for _, enc := range s.encs {
 			s.buf = enc(i, s.buf)
 		}
 		gi, ok := s.hashIdx[string(s.buf)]
 		if !ok {
-			gi = len(bg.parts)
+			gi = bg.newGroup(i)
 			s.hashIdx[string(s.buf)] = gi
-			bg.firstRows = append(bg.firstRows, i)
-			bg.parts = append(bg.parts, newAggPartial(len(aggs)))
 		}
-		s.addRow(bg.parts[gi], i)
+		s.addRow(bg.group(gi), i)
 	}
 	return bg, nil
 }
 
-// groupedMerge is the global grouped accumulator the breaker (or the
-// serial operator) folds batch accumulators into. Groups are keyed by
-// canonical key VALUE — never by dictionary code — so partials carrying
-// mismatched dictionaries or raw strings merge correctly, and ordered by
-// first occurrence in fold order.
+// groupedMerge is the global grouped accumulator the breaker folds
+// partial tables into. Groups are keyed by canonical key VALUE — never by
+// dictionary code — so partials carrying mismatched dictionaries or raw
+// strings merge correctly, and ordered by first occurrence in fold order.
 type groupedMerge struct {
 	keyNames []string
 	aggs     []AggSpec
@@ -329,9 +379,11 @@ func newGroupedMerge(keyNames []string, aggs []AggSpec) *groupedMerge {
 // key bytes: map entry, partial struct, three float slices.
 func groupStateBytes(nAggs int) int64 { return 64 + 8*int64(1+3*nAggs) }
 
-// fold merges one group — key values at row r of keyCols (encoded by
-// encs), partial state p — into the accumulator, taking ownership of p.
-func (m *groupedMerge) fold(keyCols []*data.Column, encs []groupKeyEnc, r int, p *aggPartial) error {
+// fold merges one partial row — key values at row r of keyCols (encoded
+// by encs), partial state at row r of rows — into the accumulator. A
+// group already resident folds straight from the columns; only a new
+// (or spilled) group decodes its state.
+func (m *groupedMerge) fold(keyCols []*data.Column, encs []groupKeyEnc, rows partialRows, r int) error {
 	m.buf = m.buf[:0]
 	for _, enc := range encs {
 		m.buf = enc(r, m.buf)
@@ -339,10 +391,10 @@ func (m *groupedMerge) fold(keyCols []*data.Column, encs []groupKeyEnc, r int, p
 	seq := m.seq
 	m.seq++
 	if m.spill != nil {
-		return m.spill.add(m.buf, keyCols, r, p, seq)
+		return m.spill.add(m.buf, keyCols, r, rows.row(r), seq)
 	}
 	if gi, ok := m.idx[string(m.buf)]; ok {
-		m.parts[gi].fold(p)
+		rows.foldInto(m.parts[gi], r)
 		return nil
 	}
 	if m.keys == nil {
@@ -357,7 +409,7 @@ func (m *groupedMerge) fold(keyCols []*data.Column, encs []groupKeyEnc, r int, p
 		}
 	}
 	m.idx[string(m.buf)] = len(m.parts)
-	m.parts = append(m.parts, p)
+	m.parts = append(m.parts, rows.row(r))
 	m.firstSeq = append(m.firstSeq, seq)
 	m.retained += int64(len(m.buf)) + groupStateBytes(len(m.aggs))
 	if m.res == nil {
@@ -467,25 +519,6 @@ func (m *groupedMerge) spilledBytes() int64 {
 	return m.spill.spilledBytes()
 }
 
-// foldBatch merges a batch-local accumulator group by group, in the
-// batch's first-occurrence order.
-func (m *groupedMerge) foldBatch(bg *batchGroups) error {
-	encs := make([]groupKeyEnc, len(bg.keyCols))
-	for i, c := range bg.keyCols {
-		enc, err := keyEncoder(c)
-		if err != nil {
-			return err
-		}
-		encs[i] = enc
-	}
-	for gi, r := range bg.firstRows {
-		if err := m.fold(bg.keyCols, encs, r, bg.parts[gi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // finalize renders the accumulated groups: key columns (first-occurrence
 // order) followed by one float column per aggregate, AVG divided only
 // here. Zero groups returns nil — the operator synthesizes a typed empty
@@ -532,115 +565,26 @@ func groupedColumns(keys []string, aggs []AggSpec) []string {
 	return out
 }
 
-// GroupAggregate computes grouped aggregates serially: each child batch
-// is folded into a batch-local accumulator (dense or hash grouping, see
-// the file comment) and merged by key value in batch order. Output rows
-// appear in first-occurrence order of the group key, which the parallel
-// PartialGroupAggregate/MergeGroupAggregate pair reproduces exactly.
-type GroupAggregate struct {
+// PartialGroupAggregate computes per-batch grouped partials: each input
+// batch becomes one encoded partial table — the group-key columns
+// gathered at their first-occurrence rows (preserving the dictionary
+// representation) plus the per-group COUNT/SUM/MIN/MAX state as float
+// columns. It runs inline under its MergeGroupAggregate at DOP 1 and
+// inside the exchange workers when the parallel rewrite wraps it in an
+// Exchange, which re-emits the tables in morsel order; either way the
+// merge folds exactly the batch sequence.
+type PartialGroupAggregate struct {
 	Child Operator
 	Keys  []string
 	Aggs  []AggSpec
 	// DenseLimit bounds the dictionary cardinality of the dense grouping
 	// path: 0 means DefaultDenseGroupLimit, negative disables the dense
 	// path entirely (always hash). The engine sets it from the Profile.
+	// Every worker clone owns a private dense array.
 	DenseLimit int
-	// Observe, when set, receives the true group cardinality at the
-	// breaker ("group_merge") and drives the adaptive dense-vs-hash
-	// decision at Open. EstRows/EstGroups are the plan-time estimates for
-	// the input rows and the group count.
-	Observe   AdaptiveContext
-	EstRows   float64
-	EstGroups float64
-	// Ctx, when set (see SetContext), is polled per drained batch so a
-	// canceled query stops accumulating groups at the next batch boundary.
-	Ctx context.Context
-	// Budget, when set (see SetBudget), caps resident group state via
-	// grace-hash partition spill.
-	Budget *MemBudget
-
-	stats      OpStats
-	done       bool
-	denseLimit int // DenseLimit after the adaptive Open decision
-	scratch    groupScratch
-}
-
-// Columns returns the group keys followed by the aggregate outputs.
-func (a *GroupAggregate) Columns() []string { return groupedColumns(a.Keys, a.Aggs) }
-
-// Open opens the child.
-func (a *GroupAggregate) Open() error {
-	if len(a.Keys) == 0 {
-		return fmt.Errorf("relational: GroupAggregate requires at least one key (use Aggregate)")
-	}
-	a.stats = OpStats{Name: fmt.Sprintf("GroupAggregate(%d keys)", len(a.Keys))}
-	a.done = false
-	if err := a.Child.Open(); err != nil {
-		return err
-	}
-	// The child's Open drained any join build below, so the adaptive
-	// context already holds its observed cardinality here.
-	a.denseLimit = resolveDenseLimit(a.Observe, a.DenseLimit, a.EstRows, "group_agg")
-	return nil
-}
-
-// Next drains the child and emits the grouped result as one batch.
-func (a *GroupAggregate) Next() (*data.Table, error) {
-	defer startTimer(&a.stats)()
-	if a.done {
-		return nil, nil
-	}
-	a.done = true
-	acc := newGroupedMerge(a.Keys, a.Aggs)
-	acc.budget = a.Budget
-	for {
-		if err := canceled(a.Ctx); err != nil {
-			return nil, err
-		}
-		b, err := a.Child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		bg, err := a.scratch.accumulateGroupedBatch(b, a.Keys, a.Aggs, a.denseLimit)
-		if err != nil {
-			return nil, err
-		}
-		if err := acc.foldBatch(bg); err != nil {
-			return nil, err
-		}
-	}
-	return acc.emit(a, &a.stats, a.Observe, a.EstGroups)
-}
-
-// Close closes the child.
-func (a *GroupAggregate) Close() error { return a.Child.Close() }
-
-// Stats returns the operator statistics.
-func (a *GroupAggregate) Stats() *OpStats { return &a.stats }
-
-// Children returns the single child.
-func (a *GroupAggregate) Children() []Operator { return []Operator{a.Child} }
-
-// PartialGroupAggregate computes per-batch grouped partials inside an
-// exchange worker: each input batch becomes one encoded partial table —
-// the group-key columns gathered at their first-occurrence rows
-// (preserving the dictionary representation) plus the per-group
-// COUNT/SUM/MIN/MAX state as float columns. The exchange re-emits these
-// tables in morsel order, so the MergeGroupAggregate above folds exactly
-// the serial batch sequence.
-type PartialGroupAggregate struct {
-	Child Operator
-	Keys  []string
-	Aggs  []AggSpec
-	// DenseLimit is the dense-path bound, as on GroupAggregate. Every
-	// worker clone owns a private dense array ("per-worker dense arrays").
-	DenseLimit int
-	// Observe/EstRows drive the adaptive dense-vs-hash decision at the
-	// exchange template's Open; worker clones inherit the resolved limit
-	// so the decision is made (and recorded) exactly once.
+	// Observe/EstRows drive the adaptive dense-vs-hash decision at Open
+	// (inline, or the exchange template's); worker clones inherit the
+	// resolved limit so the decision is made (and recorded) exactly once.
 	Observe AdaptiveContext
 	EstRows float64
 
@@ -648,6 +592,7 @@ type PartialGroupAggregate struct {
 	resolved   bool
 	denseLimit int
 	scratch    groupScratch
+	names      []string // partialColumns, computed once per Open
 }
 
 // Columns returns the partial schema: key columns then encoded state.
@@ -656,9 +601,14 @@ func (a *PartialGroupAggregate) Columns() []string {
 }
 
 // Open opens the child and resolves the adaptive dense-vs-hash decision
-// (once, on the exchange template; worker clones inherit the result).
+// (once: inline, or on the exchange template, whose worker clones inherit
+// the result). The stats stay non-Parallel, as on PartialAggregate.
 func (a *PartialGroupAggregate) Open() error {
-	a.stats = OpStats{Name: "PartialGroupAggregate", Parallel: true}
+	if len(a.Keys) == 0 {
+		return fmt.Errorf("relational: grouped aggregation requires at least one key (use MergeAggregate)")
+	}
+	a.stats = OpStats{Name: "PartialGroupAggregate"}
+	a.names = partialColumns(len(a.Aggs))
 	if err := a.Child.Open(); err != nil {
 		return err
 	}
@@ -681,30 +631,12 @@ func (a *PartialGroupAggregate) Next() (*data.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	nGroups := len(bg.parts)
-	cols := make([]*data.Column, 0, len(a.Keys)+1+3*len(a.Aggs))
+	nGroups := len(bg.firstRows)
+	cols := make([]*data.Column, 0, len(a.Keys)+len(a.names))
 	for _, kc := range bg.keyCols {
 		cols = append(cols, kc.Gather(bg.firstRows))
 	}
-	counts := make([]float64, nGroups)
-	for p, part := range bg.parts {
-		counts[p] = part.count
-	}
-	cols = append(cols, data.NewFloat("__count", counts))
-	for gi := range a.Aggs {
-		sums := make([]float64, nGroups)
-		mins := make([]float64, nGroups)
-		maxs := make([]float64, nGroups)
-		for p, part := range bg.parts {
-			sums[p] = part.sums[gi]
-			mins[p] = part.mins[gi]
-			maxs[p] = part.maxs[gi]
-		}
-		cols = append(cols,
-			data.NewFloat(fmt.Sprintf("__sum%d", gi), sums),
-			data.NewFloat(fmt.Sprintf("__min%d", gi), mins),
-			data.NewFloat(fmt.Sprintf("__max%d", gi), maxs))
-	}
+	cols = append(cols, bg.columns(a.names)...)
 	out, err := data.NewTable("group_partial", cols...)
 	if err != nil {
 		return nil, err
@@ -735,18 +667,19 @@ func (a *PartialGroupAggregate) CloneWorker(child Operator) (Operator, error) {
 // AbsorbWorker merges a worker clone's statistics.
 func (a *PartialGroupAggregate) AbsorbWorker(clone Operator) { a.stats.Absorb(clone.Stats()) }
 
-// MergeGroupAggregate is the pipeline breaker above an exchange of
-// PartialGroupAggregates: it folds the partial tables in stream (=
-// morsel) order, merging groups by key value — dictionary codes never
-// cross the breaker unresolved, so partials with mismatched dictionaries
-// or raw strings agree byte-for-byte — and emits the grouped result in
-// first-occurrence order.
+// MergeGroupAggregate is the grouped aggregation breaker: it folds the
+// partial tables of its PartialGroupAggregate child (inline, or under an
+// Exchange) in stream order, merging groups by key value — dictionary
+// codes never cross the breaker unresolved, so partials with mismatched
+// dictionaries or raw strings agree byte-for-byte — and emits the grouped
+// result in first-occurrence order.
 type MergeGroupAggregate struct {
 	Child Operator
 	Keys  []string
 	Aggs  []AggSpec
-	// Observe/EstGroups mirror GroupAggregate: the breaker reports the
-	// true group cardinality ("group_merge") for downstream re-costing.
+	// Observe, when set, receives the true group cardinality at the
+	// breaker ("group_merge") for downstream re-costing; EstGroups is the
+	// plan-time estimate of the group count.
 	Observe   AdaptiveContext
 	EstGroups float64
 	// Ctx, when set (see SetContext), is polled per drained partial batch.
@@ -757,6 +690,7 @@ type MergeGroupAggregate struct {
 
 	stats OpStats
 	done  bool
+	names []string // partialColumns, computed once per Open
 }
 
 // Columns returns the group keys followed by the aggregate outputs.
@@ -766,6 +700,7 @@ func (m *MergeGroupAggregate) Columns() []string { return groupedColumns(m.Keys,
 func (m *MergeGroupAggregate) Open() error {
 	m.stats = OpStats{Name: "GroupAggregate(merge)"}
 	m.done = false
+	m.names = partialColumns(len(m.Aggs))
 	return m.Child.Open()
 }
 
@@ -803,12 +738,12 @@ func (m *MergeGroupAggregate) Next() (*data.Table, error) {
 			}
 			encs[i] = enc
 		}
-		rows, err := partialRowsOf(b, len(m.Aggs))
+		rows, err := partialRowsOf(b, m.names)
 		if err != nil {
 			return nil, err
 		}
 		for r := 0; r < b.NumRows(); r++ {
-			if err := acc.fold(keyCols, encs, r, rows.row(r)); err != nil {
+			if err := acc.fold(keyCols, encs, rows, r); err != nil {
 				return nil, err
 			}
 		}

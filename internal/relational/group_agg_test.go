@@ -11,6 +11,19 @@ import (
 	"raven/internal/data"
 )
 
+// groupAgg builds grouped aggregation the way the engine lowers it: a
+// MergeGroupAggregate over an inline PartialGroupAggregate.
+func groupAgg(child Operator, keys []string, aggs []AggSpec, denseLimit int) *MergeGroupAggregate {
+	return &MergeGroupAggregate{Keys: keys, Aggs: aggs, Child: &PartialGroupAggregate{
+		Child: child, Keys: keys, Aggs: aggs, DenseLimit: denseLimit}}
+}
+
+// globalAgg builds global aggregation the way the engine lowers it: a
+// MergeAggregate over an inline PartialAggregate.
+func globalAgg(child Operator, aggs []AggSpec) *MergeAggregate {
+	return &MergeAggregate{Aggs: aggs, Child: &PartialAggregate{Child: child, Aggs: aggs}}
+}
+
 // ---- naive reference aggregator ------------------------------------------
 
 // refGroup is one group of the naive reference aggregator.
@@ -18,6 +31,7 @@ type refGroup struct {
 	keys             []string // rendered key values (AsString)
 	count            float64
 	sums, mins, maxs []float64
+	abs              []float64 // Σ|x| per aggregate, for the SUM error bound
 }
 
 // refGroupAggregate is an independent, deliberately naive grouped
@@ -42,10 +56,14 @@ func refGroupAggregate(tb *data.Table, keys []string, aggs []AggSpec) []*refGrou
 	for r := 0; r < tb.NumRows(); r++ {
 		parts := make([]string, len(keyCols))
 		for i, c := range keyCols {
-			// Render float keys by canonical bits so NaNs form one group,
-			// mirroring the engine's key encoding.
+			// Render float keys by their bits, every NaN as one key, so
+			// NaNs form one group.
 			if c.Type == data.Float64 {
-				parts[i] = strconv.FormatUint(canonFloatBits(c.F64[r]), 16)
+				if v := c.F64[r]; math.IsNaN(v) {
+					parts[i] = "NaN"
+				} else {
+					parts[i] = strconv.FormatUint(math.Float64bits(v), 16)
+				}
 			} else {
 				parts[i] = c.AsString(r)
 			}
@@ -60,10 +78,11 @@ func refGroupAggregate(tb *data.Table, keys []string, aggs []AggSpec) []*refGrou
 			g = &refGroup{keys: vals,
 				sums: make([]float64, len(aggs)),
 				mins: make([]float64, len(aggs)),
-				maxs: make([]float64, len(aggs))}
+				maxs: make([]float64, len(aggs)),
+				abs:  make([]float64, len(aggs))}
 			for i := range aggs {
-				g.mins[i] = 1e308
-				g.maxs[i] = -1e308
+				g.mins[i] = math.Inf(1)
+				g.maxs[i] = math.Inf(-1)
 			}
 			idx[key] = g
 			order = append(order, g)
@@ -75,6 +94,7 @@ func refGroupAggregate(tb *data.Table, keys []string, aggs []AggSpec) []*refGrou
 			}
 			v := c.AsFloat(r)
 			g.sums[gi] += v
+			g.abs[gi] += math.Abs(v)
 			if v < g.mins[gi] {
 				g.mins[gi] = v
 			}
@@ -152,22 +172,23 @@ func randGroupTable(rng *rand.Rand, shape string) *data.Table {
 
 // assertMatchesReference checks a grouped result table against the naive
 // reference: group set, order, rendered keys, COUNT/MIN/MAX exactly; SUM
-// and AVG within relative tolerance when exact is false (multi-batch
-// folds use a different float addition tree than the reference's single
-// row-order pass; single-batch runs must match bit-for-bit).
+// and AVG within the summation error bound when exact is false
+// (multi-batch folds use a different float addition tree than the
+// reference's single row-order pass; single-batch runs must match
+// bit-for-bit). Any addition tree over n values lands within
+// (n-1)·ε·Σ|x| of the exact sum, so two trees differ by at most
+// 2(n-1)·ε·Σ|x|; AVG divides that by the count and adds one rounding.
 func assertMatchesReference(t *testing.T, label string, got *data.Table, keys []string, aggs []AggSpec, ref []*refGroup, exact bool) {
 	t.Helper()
 	if got.NumRows() != len(ref) {
 		t.Fatalf("%s: %d groups, want %d", label, got.NumRows(), len(ref))
 	}
-	close := func(a, b float64) bool {
+	const eps = 0x1p-52
+	close := func(a, b, tol float64) bool {
 		if a == b || (math.IsNaN(a) && math.IsNaN(b)) {
 			return true
 		}
-		if exact {
-			return false
-		}
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+		return !exact && math.Abs(a-b) <= tol
 	}
 	for r, g := range ref {
 		for i, k := range keys {
@@ -194,7 +215,11 @@ func assertMatchesReference(t *testing.T, label string, got *data.Table, keys []
 			// SUM/AVG may legitimately differ in the last bits across
 			// addition trees when multi-batch (exact=false); COUNT/MIN/MAX
 			// are exact regardless of batching.
-			ok := close(gotV, want)
+			tol := 2 * math.Max(g.count-1, 0) * eps * g.abs[gi]
+			if spec.Fn == AggAvg {
+				tol = tol/g.count + eps*math.Max(math.Abs(gotV), math.Abs(want))
+			}
+			ok := close(gotV, want, tol)
 			if spec.Fn != AggSum && spec.Fn != AggAvg {
 				ok = gotV == want || (math.IsNaN(gotV) && math.IsNaN(want))
 			}
@@ -203,6 +228,30 @@ func assertMatchesReference(t *testing.T, label string, got *data.Table, keys []
 			}
 		}
 	}
+}
+
+// assertAggMatchesReference checks the result of an aggregate-rooted plan
+// against the naive reference, which aggregates the aggregate's own input
+// drained from root (a fresh, unopened plan). Plans rooted elsewhere are
+// left to the byte-identity checks.
+func assertAggMatchesReference(t *testing.T, label string, root Operator, got *data.Table) {
+	t.Helper()
+	var input Operator
+	var keys []string
+	var aggs []AggSpec
+	switch o := root.(type) {
+	case *MergeAggregate:
+		input, aggs = o.Child.(*PartialAggregate).Child, o.Aggs
+	case *MergeGroupAggregate:
+		input, keys, aggs = o.Child.(*PartialGroupAggregate).Child, o.Keys, o.Aggs
+	default:
+		return
+	}
+	tb, err := Drain(input)
+	if err != nil {
+		t.Fatalf("%s: reference input: %v", label, err)
+	}
+	assertMatchesReference(t, label+" vs reference", got, keys, aggs, refGroupAggregate(tb, keys, aggs), false)
 }
 
 // TestGroupAggregatePropertyVsReference drives randomized tables —
@@ -227,8 +276,7 @@ func TestGroupAggregatePropertyVsReference(t *testing.T) {
 			// bit-for-bit.
 			one := data.SinglePartition(tb)
 			batchAll := tb.NumRows() + 1
-			serialOne, err := Drain(&GroupAggregate{
-				Child: NewScan(one, "", nil, batchAll), Keys: keys, Aggs: propAggs})
+			serialOne, err := Drain(groupAgg(NewScan(one, "", nil, batchAll), keys, propAggs, 0))
 			if err != nil {
 				t.Fatalf("%s single-batch: %v", label, err)
 			}
@@ -239,8 +287,7 @@ func TestGroupAggregatePropertyVsReference(t *testing.T) {
 			// baseline every other configuration must reproduce exactly.
 			mk := func(src *data.PartitionedTable, dense int) func() Operator {
 				return func() Operator {
-					return &GroupAggregate{Child: NewScan(src, "", nil, 128),
-						Keys: keys, Aggs: propAggs, DenseLimit: dense}
+					return groupAgg(NewScan(src, "", nil, 128), keys, propAggs, dense)
 				}
 			}
 			serial, err := Drain(mk(one, 0)())
@@ -303,7 +350,7 @@ func TestGroupAggregateEmptyViews(t *testing.T) {
 	for name, src := range sources {
 		for _, dop := range []int{1, 4} {
 			grouped, err := Drain(mustParallelize(t,
-				&GroupAggregate{Child: src(), Keys: []string{"g"}, Aggs: aggs}, dop, 2))
+				groupAgg(src(), []string{"g"}, aggs, 0), dop, 2))
 			if err != nil {
 				t.Fatalf("%s grouped dop=%d: %v", name, dop, err)
 			}
@@ -311,7 +358,7 @@ func TestGroupAggregateEmptyViews(t *testing.T) {
 				t.Fatalf("%s grouped dop=%d: %d groups over empty input", name, dop, grouped.NumRows())
 			}
 			global, err := Drain(mustParallelize(t,
-				&Aggregate{Child: src(), Aggs: aggs}, dop, 2))
+				globalAgg(src(), aggs), dop, 2))
 			if err != nil {
 				t.Fatalf("%s global dop=%d: %v", name, dop, err)
 			}
@@ -319,13 +366,63 @@ func TestGroupAggregateEmptyViews(t *testing.T) {
 				t.Fatalf("%s global dop=%d: %d rows", name, dop, global.NumRows())
 			}
 			// Identity results: COUNT/SUM/AVG zero, MIN/MAX at their fold
-			// identities.
+			// identities +Inf and -Inf.
 			for col, want := range map[string]float64{
-				"n": 0, "s": 0, "m": 0, "lo": 1e308, "hi": -1e308} {
+				"n": 0, "s": 0, "m": 0, "lo": math.Inf(1), "hi": math.Inf(-1)} {
 				if got := global.Col(col).F64[0]; got != want {
 					t.Fatalf("%s global dop=%d: %s = %v, want %v", name, dop, col, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestMinMaxBeyondFiniteSeeds pins the MIN/MAX fold identities: values
+// beyond ±1e308 and ±Inf must come back as themselves, not as a seed
+// value that is not in the data, for global and grouped aggregation at
+// DOP 1 and 4 (the batch size of 2 splits the input into morsels).
+func TestMinMaxBeyondFiniteSeeds(t *testing.T) {
+	aggs := []AggSpec{{Fn: AggMin, Col: "v", As: "lo"}, {Fn: AggMax, Col: "v", As: "hi"}}
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		vals   []float64
+		lo, hi float64
+	}{
+		{"huge", []float64{1.7e308, 1.5e308, 1.6e308, 1.7e308, 1.5e308}, 1.5e308, 1.7e308},
+		{"tiny", []float64{-1.7e308, -1.5e308, -1.6e308, -1.7e308, -1.5e308}, -1.7e308, -1.5e308},
+		{"inf", []float64{inf, inf, inf, inf, inf}, inf, inf},
+		{"neg-inf", []float64{-inf, -inf, -inf, -inf, -inf}, -inf, -inf},
+	} {
+		g := make([]string, len(tc.vals))
+		for i := range g {
+			g[i] = fmt.Sprintf("g%d", i%2)
+		}
+		pt := data.SinglePartition(data.MustNewTable("t",
+			data.NewString("g", g), data.NewFloat("v", tc.vals)))
+		for _, dop := range []int{1, 4} {
+			global, err := Drain(mustParallelize(t, globalAgg(NewScan(pt, "", nil, 2), aggs), dop, 2))
+			if err != nil {
+				t.Fatalf("%s global dop=%d: %v", tc.name, dop, err)
+			}
+			if lo, hi := global.Col("lo").F64[0], global.Col("hi").F64[0]; lo != tc.lo || hi != tc.hi {
+				t.Fatalf("%s global dop=%d: MIN, MAX = %v, %v, want %v, %v", tc.name, dop, lo, hi, tc.lo, tc.hi)
+			}
+			grouped, err := Drain(mustParallelize(t,
+				groupAgg(NewScan(pt, "", nil, 2), []string{"g"}, aggs, 0), dop, 2))
+			if err != nil {
+				t.Fatalf("%s grouped dop=%d: %v", tc.name, dop, err)
+			}
+			// Both groups hold the extreme values of the whole input.
+			for r := 0; r < grouped.NumRows(); r++ {
+				if lo, hi := grouped.Col("lo").F64[r], grouped.Col("hi").F64[r]; lo != tc.lo || hi != tc.hi {
+					t.Fatalf("%s grouped dop=%d group %d: MIN, MAX = %v, %v, want %v, %v",
+						tc.name, dop, r, lo, hi, tc.lo, tc.hi)
+				}
+			}
+			tb := data.MustNewTable("t", data.NewString("g", g), data.NewFloat("v", tc.vals))
+			assertMatchesReference(t, fmt.Sprintf("%s grouped dop=%d", tc.name, dop),
+				grouped, []string{"g"}, aggs, refGroupAggregate(tb, []string{"g"}, aggs), true)
 		}
 	}
 }
@@ -348,7 +445,7 @@ func TestGroupAggregateEmptyTyped(t *testing.T) {
 		"g": data.String, "k": data.Int64, "n": data.Float64, "m": data.Float64}
 	for _, dop := range []int{1, 2} { // dop 2 exercises the partial/merge path
 		out, err := Drain(mustParallelize(t,
-			&GroupAggregate{Child: src(), Keys: []string{"g", "k"}, Aggs: aggs}, dop, 1))
+			groupAgg(src(), []string{"g", "k"}, aggs, 0), dop, 1))
 		if err != nil {
 			t.Fatalf("dop=%d: %v", dop, err)
 		}
@@ -426,8 +523,7 @@ func TestGroupAggregateDenseMatchesHash(t *testing.T) {
 	pt.Parts = append(pt.Parts, data.SinglePartition(b).Parts...)
 	aggs := []AggSpec{{Fn: AggCount, As: "n"}, {Fn: AggSum, Col: "v", As: "s"}}
 	mk := func(dense int) Operator {
-		return &GroupAggregate{Child: NewScan(pt, "", nil, 128),
-			Keys: []string{"g"}, Aggs: aggs, DenseLimit: dense}
+		return groupAgg(NewScan(pt, "", nil, 128), []string{"g"}, aggs, dense)
 	}
 	hash, err := Drain(mk(-1))
 	if err != nil {
@@ -454,15 +550,15 @@ func TestGroupAggregateDenseMatchesHash(t *testing.T) {
 func TestGroupAggregateErrors(t *testing.T) {
 	pt := data.SinglePartition(data.MustNewTable("t",
 		data.NewString("g", []string{"a"}), data.NewFloat("v", []float64{1})))
-	if err := (&GroupAggregate{Child: NewScan(pt, "", nil, 8)}).Open(); err == nil {
-		t.Fatal("expected error for GroupAggregate without keys")
+	if err := groupAgg(NewScan(pt, "", nil, 8), nil, nil, 0).Open(); err == nil {
+		t.Fatal("expected error for grouped aggregation without keys")
 	}
-	if _, err := Drain(&GroupAggregate{Child: NewScan(pt, "", nil, 8),
-		Keys: []string{"nope"}, Aggs: []AggSpec{{Fn: AggCount, As: "n"}}}); err == nil {
+	if _, err := Drain(groupAgg(NewScan(pt, "", nil, 8),
+		[]string{"nope"}, []AggSpec{{Fn: AggCount, As: "n"}}, 0)); err == nil {
 		t.Fatal("expected error for missing key column")
 	}
-	if _, err := Drain(&GroupAggregate{Child: NewScan(pt, "", nil, 8),
-		Keys: []string{"g"}, Aggs: []AggSpec{{Fn: AggSum, Col: "nope", As: "s"}}}); err == nil {
+	if _, err := Drain(groupAgg(NewScan(pt, "", nil, 8),
+		[]string{"g"}, []AggSpec{{Fn: AggSum, Col: "nope", As: "s"}}, 0)); err == nil {
 		t.Fatal("expected error for missing aggregate column")
 	}
 }

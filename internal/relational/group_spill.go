@@ -57,6 +57,7 @@ type groupSpillPart struct {
 type groupSpill struct {
 	keyNames []string
 	aggs     []AggSpec
+	names    []string // partialColumns(len(aggs))
 	sf       *spillFile
 	// flushBytes bounds the bytes one partition buffers before its rows
 	// are encoded into a spill slab — the 16 buffers together stay within
@@ -74,7 +75,8 @@ func newGroupSpill(b *MemBudget, keyNames []string, aggs []AggSpec) (*groupSpill
 	if fb < 1 {
 		fb = 1
 	}
-	return &groupSpill{keyNames: keyNames, aggs: aggs, sf: sf, flushBytes: fb}, nil
+	return &groupSpill{keyNames: keyNames, aggs: aggs, names: partialColumns(len(aggs)),
+		sf: sf, flushBytes: fb}, nil
 }
 
 // add routes one folded group-row (key values at row r of keyCols,
@@ -104,35 +106,10 @@ func (g *groupSpill) add(keyBytes []byte, keyCols []*data.Column, r int, p *aggP
 
 // flush encodes a partition's buffered rows as one spill slab.
 func (g *groupSpill) flush(part *groupSpillPart) error {
-	n := len(part.seqs)
-	if n == 0 {
+	if len(part.seqs) == 0 {
 		return nil
 	}
-	cols := make([]*data.Column, 0, len(g.keyNames)+2+3*len(g.aggs))
-	for _, kb := range part.keys {
-		cols = append(cols, kb.column())
-	}
-	cols = append(cols, data.NewFloat(groupSeqCol, part.seqs))
-	counts := make([]float64, n)
-	for i, p := range part.partials {
-		counts[i] = p.count
-	}
-	cols = append(cols, data.NewFloat("__count", counts))
-	for gi := range g.aggs {
-		sums := make([]float64, n)
-		mins := make([]float64, n)
-		maxs := make([]float64, n)
-		for i, p := range part.partials {
-			sums[i] = p.sums[gi]
-			mins[i] = p.mins[gi]
-			maxs[i] = p.maxs[gi]
-		}
-		cols = append(cols,
-			data.NewFloat(fmt.Sprintf("__sum%d", gi), sums),
-			data.NewFloat(fmt.Sprintf("__min%d", gi), mins),
-			data.NewFloat(fmt.Sprintf("__max%d", gi), maxs))
-	}
-	t, err := data.NewTable("group_spill", cols...)
+	t, err := g.table(part)
 	if err != nil {
 		return err
 	}
@@ -145,6 +122,36 @@ func (g *groupSpill) flush(part *groupSpillPart) error {
 	return nil
 }
 
+// table renders a partition's buffered rows as a spill-slab table.
+func (g *groupSpill) table(part *groupSpillPart) (*data.Table, error) {
+	n := len(part.seqs)
+	cols := make([]*data.Column, 0, len(g.keyNames)+1+len(g.names))
+	for _, kb := range part.keys {
+		cols = append(cols, kb.column())
+	}
+	cols = append(cols, data.NewFloat(groupSeqCol, part.seqs))
+	counts := make([]float64, n)
+	for i, p := range part.partials {
+		counts[i] = p.count
+	}
+	cols = append(cols, data.NewFloat(g.names[0], counts))
+	for gi := range g.aggs {
+		sums := make([]float64, n)
+		mins := make([]float64, n)
+		maxs := make([]float64, n)
+		for i, p := range part.partials {
+			sums[i] = p.sums[gi]
+			mins[i] = p.mins[gi]
+			maxs[i] = p.maxs[gi]
+		}
+		cols = append(cols,
+			data.NewFloat(g.names[1+3*gi], sums),
+			data.NewFloat(g.names[2+3*gi], mins),
+			data.NewFloat(g.names[3+3*gi], maxs))
+	}
+	return data.NewTable("group_spill", cols...)
+}
+
 // seqFold re-folds one partition's rows in order, remembering each
 // group's first-occurrence sequence number.
 type seqFold struct {
@@ -152,9 +159,9 @@ type seqFold struct {
 	seqs []float64
 }
 
-func (f *seqFold) fold(keyCols []*data.Column, encs []groupKeyEnc, r int, p *aggPartial, seq float64) error {
+func (f *seqFold) fold(keyCols []*data.Column, encs []groupKeyEnc, rows partialRows, r int, seq float64) error {
 	before := len(f.gm.parts)
-	if err := f.gm.fold(keyCols, encs, r, p); err != nil {
+	if err := f.gm.fold(keyCols, encs, rows, r); err != nil {
 		return err
 	}
 	if len(f.gm.parts) > before {
@@ -165,7 +172,7 @@ func (f *seqFold) fold(keyCols []*data.Column, encs []groupKeyEnc, r int, p *agg
 
 // foldTable folds every row of a spilled slab (or a partition's buffered
 // tail rendered as a table) in row order.
-func (f *seqFold) foldTable(t *data.Table, keyNames []string, nAggs int) error {
+func (f *seqFold) foldTable(t *data.Table, keyNames, names []string) error {
 	keyCols := make([]*data.Column, len(keyNames))
 	encs := make([]groupKeyEnc, len(keyNames))
 	for i, k := range keyNames {
@@ -184,12 +191,12 @@ func (f *seqFold) foldTable(t *data.Table, keyNames []string, nAggs int) error {
 	if seqCol == nil {
 		return fmt.Errorf("relational: group spill slab lacks %s", groupSeqCol)
 	}
-	rows, err := partialRowsOf(t, nAggs)
+	rows, err := partialRowsOf(t, names)
 	if err != nil {
 		return err
 	}
 	for r := 0; r < t.NumRows(); r++ {
-		if err := f.fold(keyCols, encs, r, rows.row(r), seqCol.F64[r]); err != nil {
+		if err := f.fold(keyCols, encs, rows, r, seqCol.F64[r]); err != nil {
 			return err
 		}
 	}
@@ -216,27 +223,19 @@ func (g *groupSpill) finalize() (*data.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := f.foldTable(t, g.keyNames, len(g.aggs)); err != nil {
+			if err := f.foldTable(t, g.keyNames, g.names); err != nil {
 				return nil, err
 			}
 		}
 		// The partition's unflushed tail, folded in the same row order it
 		// was buffered.
 		if len(part.seqs) > 0 {
-			keyCols := make([]*data.Column, len(part.keys))
-			encs := make([]groupKeyEnc, len(part.keys))
-			for i, kb := range part.keys {
-				keyCols[i] = kb.column()
-				enc, err := keyEncoder(keyCols[i])
-				if err != nil {
-					return nil, err
-				}
-				encs[i] = enc
+			t, err := g.table(part)
+			if err != nil {
+				return nil, err
 			}
-			for r := range part.seqs {
-				if err := f.fold(keyCols, encs, r, part.partials[r], part.seqs[r]); err != nil {
-					return nil, err
-				}
+			if err := f.foldTable(t, g.keyNames, g.names); err != nil {
+				return nil, err
 			}
 		}
 		out, err := f.gm.finalize()

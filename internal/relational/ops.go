@@ -414,81 +414,6 @@ type AggSpec struct {
 	As  string
 }
 
-// Aggregate computes global aggregates over its input (the SQL Server
-// experiments add an aggregate over prediction results).
-type Aggregate struct {
-	Child Operator
-	Aggs  []AggSpec
-	// Ctx, when set (see SetContext), is polled per drained batch.
-	Ctx context.Context
-
-	stats OpStats
-	done  bool
-}
-
-// Columns returns the aggregate output names.
-func (a *Aggregate) Columns() []string {
-	out := make([]string, len(a.Aggs))
-	for i, g := range a.Aggs {
-		out[i] = g.As
-	}
-	return out
-}
-
-// Open opens the child.
-func (a *Aggregate) Open() error {
-	a.stats = OpStats{Name: "Aggregate"}
-	a.done = false
-	return a.Child.Open()
-}
-
-// Next drains the child and emits a single-row result. Each batch is
-// folded through the same per-batch accumulator the parallel
-// PartialAggregate/MergeAggregate pair uses (parallel_agg.go), so serial
-// and parallel plans share one addition tree and produce bit-identical
-// aggregates.
-func (a *Aggregate) Next() (*data.Table, error) {
-	defer startTimer(&a.stats)()
-	if a.done {
-		return nil, nil
-	}
-	a.done = true
-	acc := newAggPartial(len(a.Aggs))
-	for {
-		if err := canceled(a.Ctx); err != nil {
-			return nil, err
-		}
-		b, err := a.Child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		p, err := accumulateBatch(b, a.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		acc.fold(p)
-	}
-	out, err := acc.finalize(a.Aggs)
-	if err != nil {
-		return nil, err
-	}
-	a.stats.Rows++
-	a.stats.Batches++
-	return out, nil
-}
-
-// Close closes the child.
-func (a *Aggregate) Close() error { return a.Child.Close() }
-
-// Stats returns the aggregate statistics.
-func (a *Aggregate) Stats() *OpStats { return &a.stats }
-
-// Children returns the single child.
-func (a *Aggregate) Children() []Operator { return []Operator{a.Child} }
-
 // Materialize drains its child into memory at Open and then streams the
 // buffered rows. The MADlib profile inserts these between featurization
 // steps, reproducing MADlib's forced materialization.

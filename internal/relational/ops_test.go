@@ -223,16 +223,13 @@ func TestHashJoinBadKeys(t *testing.T) {
 }
 
 func TestAggregateOp(t *testing.T) {
-	a := &Aggregate{
-		Child: scanFixture(2),
-		Aggs: []AggSpec{
-			{Fn: AggCount, As: "n"},
-			{Fn: AggSum, Col: "v", As: "sum_v"},
-			{Fn: AggAvg, Col: "v", As: "avg_v"},
-			{Fn: AggMin, Col: "v", As: "min_v"},
-			{Fn: AggMax, Col: "v", As: "max_v"},
-		},
-	}
+	a := globalAgg(scanFixture(2), []AggSpec{
+		{Fn: AggCount, As: "n"},
+		{Fn: AggSum, Col: "v", As: "sum_v"},
+		{Fn: AggAvg, Col: "v", As: "avg_v"},
+		{Fn: AggMin, Col: "v", As: "min_v"},
+		{Fn: AggMax, Col: "v", As: "max_v"},
+	})
 	out, err := Drain(a)
 	if err != nil {
 		t.Fatal(err)

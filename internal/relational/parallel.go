@@ -621,13 +621,13 @@ func chainify(op Operator, c rwConf) error {
 // Parallelize rewrites a physical plan for real data-parallel execution
 // at the given DOP: every maximal partition-parallel segment big enough
 // to split (more rows than one morsel) is wrapped in an Exchange. The
-// former pipeline breakers scale too: hash joins are probed inside the
-// exchange workers against a shared build table, global aggregates
-// become per-worker PartialAggregates merged at a MergeAggregate
-// breaker, and grouped aggregates become per-worker
-// PartialGroupAggregates merged by key value at a MergeGroupAggregate
-// breaker. Materializations and unions stay serial but
-// pull from parallel children. dop <= 1 returns the plan unchanged.
+// pipeline breakers scale too: hash joins are probed inside the exchange
+// workers against a shared build table, and an aggregation's partial
+// (PartialAggregate, PartialGroupAggregate) moves into the workers while
+// its merge stays above the exchange — a partial whose input is too small
+// to split stays inline, as at DOP 1. Materializations and unions stay
+// serial but pull from parallel children. dop <= 1 returns the plan
+// unchanged.
 func Parallelize(root Operator, dop, morselSize int) (Operator, error) {
 	return ParallelizeOn(root, dop, morselSize, nil)
 }
@@ -639,11 +639,12 @@ func ParallelizeOn(root Operator, dop, morselSize int, s *sched.Scheduler) (Oper
 }
 
 // ParallelizeAdaptive is ParallelizeOn with a per-query adaptive context:
-// every Exchange it creates gets adaptive worker-count clamping, and the
-// breaker operators' observation hooks survive the parallel rewrite (the
-// serial operators' Observe/estimate fields are copied onto the
-// Partial/Merge pairs that replace them). A nil context yields exactly
-// the static rewrite.
+// every Exchange it creates gets adaptive worker-count clamping. The
+// breakers' observation hooks need no copying: an aggregation's
+// Partial/Merge pair already carries them at DOP 1, and the rewrite only
+// moves the partial under an Exchange (sorts copy theirs onto the
+// PartialSort/MergeSortRuns pair that replaces them). A nil context
+// yields exactly the static rewrite.
 func ParallelizeAdaptive(root Operator, dop, morselSize int, s *sched.Scheduler, obs AdaptiveContext) (Operator, error) {
 	if dop <= 1 {
 		return root, nil
@@ -701,32 +702,19 @@ func rewrite(op Operator, c rwConf) (Operator, error) {
 			return nil, err
 		}
 		o.Right, err = rewrite(o.Right, c)
-	case *Aggregate:
-		// Partial aggregation: when the input is a big-enough segment,
-		// fold per-batch accumulators inside the exchange workers and
-		// merge them (in morsel order) above it.
-		if seg, ok, serr := exchangeSegment(&PartialAggregate{Child: o.Child, Aggs: o.Aggs}, c); serr != nil {
-			return nil, serr
-		} else if ok {
-			return &MergeAggregate{Child: seg, Aggs: o.Aggs}, nil
-		}
+	case *MergeAggregate:
+		// The partial below moves into the exchange workers when its
+		// input is a big-enough segment (exchangeSegment at the top of
+		// the rewrite); the merge folds its rows in morsel order.
 		o.Child, err = rewrite(o.Child, c)
-	case *GroupAggregate:
-		// Grouped partial aggregation: per-worker grouped accumulators
-		// (dense arrays or hash tables) inside the exchange, merged by
-		// key value in morsel order at the breaker. The adaptive hooks
-		// move with the split: the partial side inherits the
-		// dense-vs-hash decision, the merge side reports the true group
-		// cardinality.
-		if seg, ok, serr := exchangeSegment(&PartialGroupAggregate{
-			Child: o.Child, Keys: o.Keys, Aggs: o.Aggs, DenseLimit: o.DenseLimit,
-			Observe: o.Observe, EstRows: o.EstRows,
-		}, c); serr != nil {
-			return nil, serr
-		} else if ok {
-			return &MergeGroupAggregate{Child: seg, Keys: o.Keys, Aggs: o.Aggs,
-				Observe: o.Observe, EstGroups: o.EstGroups}, nil
-		}
+	case *PartialAggregate:
+		o.Child, err = rewrite(o.Child, c)
+	case *MergeGroupAggregate:
+		// As for MergeAggregate: per-worker grouped accumulators (dense
+		// arrays or hash tables) inside the exchange, merged by key value
+		// in morsel order at the breaker.
+		o.Child, err = rewrite(o.Child, c)
+	case *PartialGroupAggregate:
 		o.Child, err = rewrite(o.Child, c)
 	case *Sort:
 		// Parallel sort: per-worker sorted runs (one per morsel, truncated

@@ -3,19 +3,20 @@ package relational
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"raven/internal/data"
 )
 
-// This file extends morsel-driven parallelism across the aggregation
-// pipeline breaker. Exchange workers run PartialAggregate, which folds
-// each batch into a mergeable accumulator row (COUNT plus per-aggregate
-// SUM/MIN/MAX — AVG is carried decomposed as SUM+COUNT); MergeAggregate
-// above the exchange folds the partial rows in morsel order and emits the
-// final single-row result. The serial Aggregate uses the same
-// batch-partial-then-fold arithmetic, so as long as batch boundaries
-// match morsel boundaries (both are the profile batch size) the parallel
-// result is bit-identical to the serial one.
+// Global aggregation is one operator pair at every DOP. PartialAggregate
+// folds each batch into a mergeable accumulator row (COUNT plus
+// per-aggregate SUM/MIN/MAX — AVG is carried decomposed as SUM+COUNT);
+// MergeAggregate folds the partial rows in stream order and emits the
+// final single-row result. At DOP 1 the partial runs inline under the
+// merge; under an Exchange it runs in the workers and the exchange
+// re-emits its rows in morsel order. Batch boundaries equal morsel
+// boundaries (both are the profile batch size), so both placements fold
+// the same partials in the same order and the results are bit-identical.
 
 // aggPartial is the mergeable accumulator state of a global aggregation
 // over one stream chunk (a batch, a morsel, or the whole input).
@@ -24,6 +25,8 @@ type aggPartial struct {
 	sums, mins, maxs []float64
 }
 
+// newAggPartial returns the empty accumulator for n aggregates, MIN and
+// MAX at their fold identities (see partialIdentity).
 func newAggPartial(n int) *aggPartial {
 	p := &aggPartial{
 		sums: make([]float64, n),
@@ -31,8 +34,8 @@ func newAggPartial(n int) *aggPartial {
 		maxs: make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
-		p.mins[i] = 1e308
-		p.maxs[i] = -1e308
+		p.mins[i] = math.Inf(1)
+		p.maxs[i] = math.Inf(-1)
 	}
 	return p
 }
@@ -61,22 +64,6 @@ func accumulateBatch(b *data.Table, aggs []AggSpec) (*aggPartial, error) {
 		}
 	}
 	return p, nil
-}
-
-// fold merges q — the next chunk in stream order — into p. Folding chunk
-// partials in stream order is the only addition tree either execution
-// mode uses, which is what makes serial and parallel results identical.
-func (p *aggPartial) fold(q *aggPartial) {
-	p.count += q.count
-	for i := range p.sums {
-		p.sums[i] += q.sums[i]
-		if q.mins[i] < p.mins[i] {
-			p.mins[i] = q.mins[i]
-		}
-		if q.maxs[i] > p.maxs[i] {
-			p.maxs[i] = q.maxs[i]
-		}
-	}
 }
 
 // finalize renders the accumulator as the single-row aggregate result,
@@ -123,16 +110,16 @@ func partialColumns(n int) []string {
 }
 
 // encode renders the accumulator as a one-row table of float columns
-// (an exact float64 round trip, so merging loses no precision).
-func (p *aggPartial) encode() (*data.Table, error) {
-	n := len(p.sums)
-	cols := make([]*data.Column, 0, 1+3*n)
-	cols = append(cols, data.NewFloat("__count", []float64{p.count}))
-	for i := 0; i < n; i++ {
+// named by names (partialColumns order) — an exact float64 round trip,
+// so merging loses no precision.
+func (p *aggPartial) encode(names []string) (*data.Table, error) {
+	cols := make([]*data.Column, 0, len(names))
+	cols = append(cols, data.NewFloat(names[0], []float64{p.count}))
+	for i := range p.sums {
 		cols = append(cols,
-			data.NewFloat(fmt.Sprintf("__sum%d", i), []float64{p.sums[i]}),
-			data.NewFloat(fmt.Sprintf("__min%d", i), []float64{p.mins[i]}),
-			data.NewFloat(fmt.Sprintf("__max%d", i), []float64{p.maxs[i]}))
+			data.NewFloat(names[1+3*i], []float64{p.sums[i]}),
+			data.NewFloat(names[2+3*i], []float64{p.mins[i]}),
+			data.NewFloat(names[3+3*i], []float64{p.maxs[i]}))
 	}
 	return data.NewTable("partial", cols...)
 }
@@ -142,22 +129,24 @@ func (p *aggPartial) encode() (*data.Table, error) {
 // once per row.
 type partialRows struct {
 	n    int
-	cols [][]float64 // partialColumns(n) order
+	cols [][]float64 // partialColumns order
 }
 
-// partialRowsOf resolves the accumulator columns of a partial batch with
-// n aggregates. An empty batch has no rows to read and needs none.
-func partialRowsOf(b *data.Table, n int) (partialRows, error) {
-	pr := partialRows{n: n}
+// partialRowsOf resolves the accumulator columns, named by names
+// (partialColumns order), of a partial batch. An empty batch has no rows
+// to read and needs none.
+func partialRowsOf(b *data.Table, names []string) (partialRows, error) {
+	pr := partialRows{n: (len(names) - 1) / 3}
 	if b.NumRows() == 0 {
 		return pr, nil
 	}
-	for _, name := range partialColumns(n) {
+	pr.cols = make([][]float64, len(names))
+	for i, name := range names {
 		c := b.Col(name)
 		if c == nil {
 			return pr, fmt.Errorf("relational: partial aggregate batch lacks column %q", name)
 		}
-		pr.cols = append(pr.cols, c.F64)
+		pr.cols[i] = c.F64
 	}
 	return pr, nil
 }
@@ -175,23 +164,44 @@ func (pr partialRows) row(r int) *aggPartial {
 	return p
 }
 
-// PartialAggregate computes per-batch aggregate partials inside an
-// exchange worker: each input batch becomes one encoded accumulator row.
-// The exchange merges those rows in morsel order, so the MergeAggregate
-// above folds them in exactly the serial batch order.
+// foldInto merges row r — the next chunk in stream order — into p,
+// reading the columns in place. Folding chunk partials in stream order is
+// the only addition tree aggregation uses, at any DOP.
+func (pr partialRows) foldInto(p *aggPartial, r int) {
+	p.count += pr.cols[0][r]
+	for i := range p.sums {
+		p.sums[i] += pr.cols[1+3*i][r]
+		if v := pr.cols[2+3*i][r]; v < p.mins[i] {
+			p.mins[i] = v
+		}
+		if v := pr.cols[3+3*i][r]; v > p.maxs[i] {
+			p.maxs[i] = v
+		}
+	}
+}
+
+// PartialAggregate folds each input batch into one encoded accumulator
+// row. It runs inline under its MergeAggregate at DOP 1 and inside the
+// exchange workers when the parallel rewrite wraps it in an Exchange,
+// which re-emits the rows in morsel order; either way the merge folds
+// them in serial batch order.
 type PartialAggregate struct {
 	Child Operator
 	Aggs  []AggSpec
 
 	stats OpStats
+	names []string // partialColumns, computed once per Open
 }
 
 // Columns returns the encoded accumulator column names.
 func (a *PartialAggregate) Columns() []string { return partialColumns(len(a.Aggs)) }
 
-// Open opens the child.
+// Open opens the child. The stats stay non-Parallel: inline, the partial
+// is serial work; under an Exchange the modeled time charges the
+// exchange's measured wall time instead.
 func (a *PartialAggregate) Open() error {
-	a.stats = OpStats{Name: "PartialAggregate", Parallel: true}
+	a.stats = OpStats{Name: "PartialAggregate"}
+	a.names = partialColumns(len(a.Aggs))
 	return a.Child.Open()
 }
 
@@ -206,7 +216,7 @@ func (a *PartialAggregate) Next() (*data.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.encode()
+	out, err := p.encode(a.names)
 	if err != nil {
 		return nil, err
 	}
@@ -232,8 +242,8 @@ func (a *PartialAggregate) CloneWorker(child Operator) (Operator, error) {
 // AbsorbWorker merges a worker clone's statistics.
 func (a *PartialAggregate) AbsorbWorker(clone Operator) { a.stats.Absorb(clone.Stats()) }
 
-// MergeAggregate is the pipeline breaker above an exchange of
-// PartialAggregates: it folds the partial rows in stream (= morsel)
+// MergeAggregate is the global aggregation breaker: it folds the rows of
+// its PartialAggregate child (inline, or under an Exchange) in stream
 // order and emits the final single-row aggregate.
 type MergeAggregate struct {
 	Child Operator
@@ -243,6 +253,7 @@ type MergeAggregate struct {
 
 	stats OpStats
 	done  bool
+	names []string // partialColumns, computed once per Open
 }
 
 // Columns returns the aggregate output names.
@@ -258,6 +269,7 @@ func (m *MergeAggregate) Columns() []string {
 func (m *MergeAggregate) Open() error {
 	m.stats = OpStats{Name: "Aggregate(merge)"}
 	m.done = false
+	m.names = partialColumns(len(m.Aggs))
 	return m.Child.Open()
 }
 
@@ -280,12 +292,12 @@ func (m *MergeAggregate) Next() (*data.Table, error) {
 		if b == nil {
 			break
 		}
-		rows, err := partialRowsOf(b, len(m.Aggs))
+		rows, err := partialRowsOf(b, m.names)
 		if err != nil {
 			return nil, err
 		}
 		for r := 0; r < b.NumRows(); r++ {
-			acc.fold(rows.row(r))
+			rows.foldInto(acc, r)
 		}
 	}
 	out, err := acc.finalize(m.Aggs)

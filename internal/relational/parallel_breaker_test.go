@@ -183,7 +183,7 @@ func TestParallelAggregatePlanShape(t *testing.T) {
 		{Fn: AggMax, Col: "v", As: "hi"},
 	}
 	mk := func() Operator {
-		return &Aggregate{Child: NewScan(pf, "", nil, 256), Aggs: aggs}
+		return globalAgg(NewScan(pf, "", nil, 256), aggs)
 	}
 	serial, err := Drain(mk())
 	if err != nil {
@@ -210,16 +210,17 @@ func TestParallelAggregatePlanShape(t *testing.T) {
 
 func TestAggregateSmallInputStaysSerial(t *testing.T) {
 	tbl := data.MustNewTable("small", data.NewFloat("v", []float64{1, 2, 3}))
-	mkAgg := func() *Aggregate {
-		return &Aggregate{
-			Child: NewScan(data.SinglePartition(tbl), "", nil, 1024),
-			Aggs:  []AggSpec{{Fn: AggAvg, Col: "v", As: "a"}},
-		}
+	mkAgg := func() *MergeAggregate {
+		return globalAgg(NewScan(data.SinglePartition(tbl), "", nil, 1024),
+			[]AggSpec{{Fn: AggAvg, Col: "v", As: "a"}})
 	}
 	agg := mkAgg()
 	root := mustParallelize(t, agg, 8, 1024)
 	if root != Operator(agg) {
 		t.Fatalf("small aggregate should stay serial, got %T", root)
+	}
+	if _, ok := agg.Child.(*PartialAggregate); !ok {
+		t.Fatalf("small aggregate's partial should stay inline, got %T", agg.Child)
 	}
 	serial, err := Drain(mkAgg())
 	if err != nil {

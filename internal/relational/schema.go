@@ -39,14 +39,10 @@ func SchemaOf(op Operator) (data.Schema, bool) {
 			return nil, false
 		}
 		return joinSchema(o.Left, o.Right)
-	case *Aggregate:
-		return aggSchema(o.Aggs), true
 	case *MergeAggregate:
 		return aggSchema(o.Aggs), true
 	case *PartialAggregate:
 		return floatSchema(o.Columns()), true
-	case *GroupAggregate:
-		return groupedSchema(o.Child, o.Keys, o.Aggs)
 	case *MergeGroupAggregate:
 		return groupedSchema(o.Child, o.Keys, o.Aggs)
 	case *PartialGroupAggregate:

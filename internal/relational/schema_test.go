@@ -81,11 +81,11 @@ func TestSchemaOfOperators(t *testing.T) {
 		t.Fatalf("SchemaOf(HashJoin): ok=%v len=%d", ok, len(s))
 	}
 
-	grp := &GroupAggregate{Child: scanFixture(2), Keys: []string{"k"},
-		Aggs: []AggSpec{{Fn: AggCount, As: "n"}, {Fn: AggSum, Col: "v", As: "total"}}}
+	grp := groupAgg(scanFixture(2), []string{"k"},
+		[]AggSpec{{Fn: AggCount, As: "n"}, {Fn: AggSum, Col: "v", As: "total"}}, 0)
 	s, ok = SchemaOf(grp)
 	if !ok {
-		t.Fatal("SchemaOf(GroupAggregate) not derivable")
+		t.Fatal("SchemaOf(MergeGroupAggregate) not derivable")
 	}
 	assertSchema(t, "group", s, data.Schema{
 		{Name: "k", Type: data.String},

@@ -200,7 +200,7 @@ func TestHavingFilterOverGroups(t *testing.T) {
 	aggs := []AggSpec{{Fn: AggCount, As: "n"}, {Fn: AggAvg, Col: "v", As: "avg_v"}}
 	mk := func() Operator {
 		return &HavingFilter{
-			Child: &GroupAggregate{Child: NewScan(pt, "", nil, 128), Keys: []string{"s"}, Aggs: aggs},
+			Child: groupAgg(NewScan(pt, "", nil, 128), []string{"s"}, aggs, 0),
 			Pred:  NewBinOp(OpGt, Col("avg_v"), Num(2.4)),
 		}
 	}
@@ -233,7 +233,7 @@ func TestSortTopKOverGroups(t *testing.T) {
 	mk := func() Operator {
 		return &Sort{
 			Child: &HavingFilter{
-				Child: &GroupAggregate{Child: NewScan(pt, "", nil, 128), Keys: []string{"s"}, Aggs: aggs},
+				Child: groupAgg(NewScan(pt, "", nil, 128), []string{"s"}, aggs, 0),
 				Pred:  NewBinOp(OpGt, Col("avg_v"), Num(1.0)),
 			},
 			Keys:  []SortKey{{Col: "avg_v", Desc: true}},
@@ -284,9 +284,8 @@ func TestSortEmptyAndZeroRowViews(t *testing.T) {
 		},
 		"having": func() Operator {
 			return &HavingFilter{
-				Child: &GroupAggregate{Child: never(), Keys: []string{"s"},
-					Aggs: []AggSpec{{Fn: AggCount, As: "n"}}},
-				Pred: NewBinOp(OpGt, Col("n"), Num(0)),
+				Child: groupAgg(never(), []string{"s"}, []AggSpec{{Fn: AggCount, As: "n"}}, 0),
+				Pred:  NewBinOp(OpGt, Col("n"), Num(0)),
 			}
 		},
 		"limit": func() Operator {
@@ -294,9 +293,8 @@ func TestSortEmptyAndZeroRowViews(t *testing.T) {
 		},
 		"sort-over-empty-group": func() Operator {
 			return &Sort{
-				Child: &GroupAggregate{Child: never(), Keys: []string{"s"},
-					Aggs: []AggSpec{{Fn: AggAvg, Col: "f", As: "a"}}},
-				Keys: []SortKey{{Col: "a"}}, Limit: 2,
+				Child: groupAgg(never(), []string{"s"}, []AggSpec{{Fn: AggAvg, Col: "f", As: "a"}}, 0),
+				Keys:  []SortKey{{Col: "a"}}, Limit: 2,
 			}
 		},
 	} {

@@ -480,8 +480,6 @@ func SetBudget(b *MemBudget, root Operator) {
 	switch op := root.(type) {
 	case *HashJoin:
 		op.Budget = b
-	case *GroupAggregate:
-		op.Budget = b
 	case *MergeGroupAggregate:
 		op.Budget = b
 	case *Sort:

@@ -65,17 +65,13 @@ func spillShapes(t *testing.T) map[string]func() Operator {
 			}
 		},
 		"group": func() Operator {
-			return &GroupAggregate{
-				Child: NewScan(pf, "", nil, 128),
-				Keys:  []string{"grp", "k"},
-				Aggs: []AggSpec{
-					{Fn: AggCount, As: "n"},
-					{Fn: AggSum, Col: "v", As: "sv"},
-					{Fn: AggAvg, Col: "v", As: "av"},
-					{Fn: AggMin, Col: "v", As: "mn"},
-					{Fn: AggMax, Col: "v", As: "mx"},
-				},
-			}
+			return groupAgg(NewScan(pf, "", nil, 128), []string{"grp", "k"}, []AggSpec{
+				{Fn: AggCount, As: "n"},
+				{Fn: AggSum, Col: "v", As: "sv"},
+				{Fn: AggAvg, Col: "v", As: "av"},
+				{Fn: AggMin, Col: "v", As: "mn"},
+				{Fn: AggMax, Col: "v", As: "mx"},
+			}, 0)
 		},
 		"sort": func() Operator {
 			return &Sort{
@@ -110,6 +106,7 @@ func TestSpillDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertAggMatchesReference(t, name, mk(), want)
 			// Serial with budget.
 			t.Run("serial", func(t *testing.T) {
 				dir := t.TempDir()
@@ -221,7 +218,9 @@ func setObserve(root Operator, obs AdaptiveContext) {
 	switch op := root.(type) {
 	case *HashJoin:
 		op.Observe = obs
-	case *GroupAggregate:
+	case *PartialGroupAggregate:
+		op.Observe = obs
+	case *MergeGroupAggregate:
 		op.Observe = obs
 	case *Sort:
 		op.Observe = obs

@@ -138,10 +138,12 @@ func TestAdmissionBoundsConcurrentQueries(t *testing.T) {
 	r1 := s.Admit()
 	r2 := s.Admit()
 	third := make(chan struct{})
+	thirdDone := make(chan struct{})
 	go func() {
 		r := s.Admit()
 		close(third)
 		r()
+		close(thirdDone)
 	}()
 	select {
 	case <-third:
@@ -156,6 +158,8 @@ func TestAdmissionBoundsConcurrentQueries(t *testing.T) {
 	}
 	r2()
 	r2() // release is idempotent
+	// The third query's release is one of "all releases".
+	<-thirdDone
 	if got := s.Admitted(); got != 0 {
 		t.Fatalf("admitted = %d after all releases, want 0", got)
 	}
